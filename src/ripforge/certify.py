@@ -19,8 +19,9 @@ beta = (1+delta)^(1/2), hence distortion beta/alpha <= sqrt(3)
 The pair/quadruple sums of +-1 entries are integers below 2^53, so the
 float64 BLAS products used here are exact and the checks carry no
 tolerance.  Quadruple sums are invariant under permuting {k, k', l, l'},
-so only unordered 4-subsets are scanned (via inner products of Hadamard
-pair-product columns); the maximum over ordered quadruples is unchanged.
+so each 4-subset a < b < c < d is scanned exactly once, as the inner
+product of the pair-product columns A_a o A_b and A_c o A_d: C(N,4) m
+multiply-adds in all.  The maximum over ordered quadruples is unchanged.
 """
 
 from __future__ import annotations
@@ -133,8 +134,12 @@ def condition_a(A, kappa: float) -> ConditionCheck:
 def condition_b(A, kappa: float) -> ConditionCheck:
     """Exact quadruple-sum check over all 4-subsets of columns.
 
-    Vacuous for N < 4.  Cost is ~C(N,4) m multiplications, organized as
-    inner products between Hadamard products of column pairs.
+    Vacuous for N < 4.  Each 4-subset a < b < c < d enters exactly one
+    product: for each b, the columns A_a o A_b (a < b) against the
+    pair-product columns A_c o A_d with c > b, which in lexicographic pair
+    order form one contiguous suffix.  That is C(N,4) m multiply-adds.
+    The witness is the lexicographically smallest sorted 4-subset that
+    attains the maximum.
     """
     arr = _sign_entries(A)
     m, n = arr.shape
@@ -142,25 +147,19 @@ def condition_b(A, kappa: float) -> ConditionCheck:
     if n < 4:
         return ConditionCheck(True, 0, None, threshold)
 
-    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64)
-    prods = arr[:, pairs[:, 0]] * arr[:, pairs[:, 1]]      # (m, C(n,2))
-    n_pairs = len(pairs)
+    rows, cols = np.triu_indices(n, 1)                      # lexicographic pairs
+    prods = arr[:, rows]                                    # (m, C(n,2))
+    prods *= arr[:, cols]
     best_val = -1.0
     best: tuple[int, ...] | None = None
-    chunk = max(1, 20_000_000 // n_pairs)
-    for start in range(0, n_pairs, chunk):
-        pb = pairs[start:start + chunk]
-        quad_sums = prods[:, start:start + chunk].T @ prods    # exact integers
-        disjoint = ((pb[:, 0, None] != pairs[None, :, 0])
-                    & (pb[:, 0, None] != pairs[None, :, 1])
-                    & (pb[:, 1, None] != pairs[None, :, 0])
-                    & (pb[:, 1, None] != pairs[None, :, 1]))
-        vals = np.abs(quad_sums)
-        vals[~disjoint] = -1.0
-        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        if vals[i, j] > best_val:
-            best_val = float(vals[i, j])
-            best = (int(pb[i, 0]), int(pb[i, 1]), int(pairs[j, 0]), int(pairs[j, 1]))
+    for b in range(1, n - 2):
+        start = int(np.searchsorted(rows, b + 1))
+        vals = np.abs((arr[:, :b] * arr[:, b:b + 1]).T @ prods[:, start:])  # exact
+        a, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        val = float(vals[a, j])
+        cand = (int(a), b, int(rows[start + j]), int(cols[start + j]))
+        if val > best_val or (val == best_val and cand < best):
+            best_val, best = val, cand
     max_sum = int(round(best_val))
     return ConditionCheck(max_sum <= threshold, max_sum, best, threshold)
 
@@ -305,10 +304,9 @@ def certify_sign_matrix(A, kappa: float | None = None, delta: float | None = Non
         kappa = default_kappa(arr.shape[1])
     ca = condition_a(A, kappa)
     cb = condition_b(A, kappa)
-    mu = coherence(A) if arr.shape[1] >= 2 else 0.0
     bound = theorem1_bound(kappa, delta, s) if delta is not None and s is not None else None
     return CertReport(
-        coherence=mu, kappa=kappa, threshold=ca.threshold,
+        coherence=ca.max_sum / arr.shape[0], kappa=kappa, threshold=ca.threshold,
         max_pair_sum=ca.max_sum, max_quad_sum=cb.max_sum,
         cond_a_pass=ca.passed, cond_b_pass=cb.passed,
         pair_witness=ca.witness, quad_witness=cb.witness,

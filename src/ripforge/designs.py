@@ -58,6 +58,8 @@ class WeightedPointSet:
             raise InvalidPointSet("need one weight per point")
         dtype = np.complex128 if np.iscomplexobj(pts) else np.float64
         pts = np.ascontiguousarray(pts, dtype=dtype)
+        if not (np.isfinite(pts).all() and np.isfinite(w).all()):
+            raise InvalidPointSet("points and weights must be finite (no NaN or inf)")
         norms = np.linalg.norm(pts, axis=1)
         if np.max(np.abs(norms - 1.0)) > UNIT_TOL:
             raise InvalidPointSet("points must lie on the unit sphere (tol 1e-12)")

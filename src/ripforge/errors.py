@@ -29,6 +29,10 @@ class DimensionMismatch(RipforgeError):
     """Operand shapes are incompatible."""
 
 
+class NonFiniteEntry(RipforgeError):
+    """A matrix entry is NaN or infinite."""
+
+
 class ParseError(RipforgeError):
     """Malformed CMX file; carries the offending line number."""
 

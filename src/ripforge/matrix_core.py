@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError
+from .errors import DimensionMismatch, NonFiniteEntry, ParseError
 
 CMX_MAGIC = "#cmx 1"
 
@@ -34,6 +34,8 @@ class Matrix:
             raise DimensionMismatch("matrix must have at least one row and column")
         dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
         arr = np.ascontiguousarray(arr, dtype=dtype)
+        if not np.isfinite(arr).all():
+            raise NonFiniteEntry("matrix entries must be finite (no NaN or inf)")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 

@@ -88,14 +88,23 @@ def test_condition_b_hadamard_product_counterexample():
 
 
 def test_condition_b_matches_subset_loop_oracle():
-    mat = rademacher(21, 7, seed=9)
-    arr = mat.data.astype(np.int64)
-    expected = 0
-    for quad in itertools.combinations(range(7), 4):
-        total = abs(int(np.sum(arr[:, quad[0]] * arr[:, quad[1]]
-                               * arr[:, quad[2]] * arr[:, quad[3]])))
-        expected = max(expected, total)
-    assert condition_b(mat, kappa=1.0).max_sum == expected
+    # small m makes ties common, which pins down the witness rule
+    cases = [(21, 7, 9)] + [(m, n, seed) for m in (8, 12, 21)
+                            for n in range(4, 13) for seed in range(3)]
+    for m, n, seed in cases:
+        mat = rademacher(m, n, seed=seed)
+        arr = mat.data.astype(np.int64)
+        expected, witness = 0, None
+        for quad in itertools.combinations(range(n), 4):     # lexicographic order
+            total = abs(int(np.sum(arr[:, quad[0]] * arr[:, quad[1]]
+                                   * arr[:, quad[2]] * arr[:, quad[3]])))
+            if witness is None or total > expected:
+                expected, witness = total, quad
+        check = condition_b(mat, kappa=1.0)
+        assert (check.max_sum, check.witness) == (expected, witness), (m, n, seed)
+        report = certify_sign_matrix(mat, kappa=1.0)
+        assert report.max_quad_sum == expected and report.quad_witness == witness
+        assert report.coherence == report.max_pair_sum / m, (m, n, seed)
 
 
 def test_condition_b_failure_rate_within_union_bound():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ripforge
 from ripforge.cli import run
 from ripforge.constructors import rademacher
 from ripforge.matrix_core import Matrix, read_cmx, write_cmx
@@ -67,11 +72,18 @@ def test_certify_cond_refuses_non_sign_matrix(tmp_path, capsys):
     assert "error" in captured.err
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(["swizzle"]) == 2
     assert run(["probe", "x.cmx", "--s", "1", "--trials", "5"]) == 2  # --seed missing
     assert run(["construct", "rademacher", "--m", "4", "--N", "4",
                 "--seed", "-3", "-o", "x.cmx"]) == 2
+    phase = str(tmp_path / "a.cmx")
+    assert run(["construct", "golomb", "--p", "5", "-o", phase]) == 0
+    for prop in ("identities", "isometry", "embedding"):   # zero trials check nothing
+        assert run(["verify", prop, phase, "--seed", "1", "--trials", "0"]) == 2
+    for kappa in ("nan", "inf"):       # a non-finite threshold certifies nothing
+        assert run(["construct", "lasvegas", "--m", "64", "--N", "16", "--kappa", kappa,
+                    "--seed", "1", "-o", str(tmp_path / "k.cmx")]) == 2
     capsys.readouterr()
 
 
@@ -135,6 +147,14 @@ def test_verify_commands(tmp_path, capsys):
                                      "--trials", "4"])
     assert code == 0 and report["l4_checked"] is True
 
+    # l4 is quartic in the columns; wider matrices are refused, not skipped
+    wide = str(tmp_path / "g37.cmx")
+    assert run(["construct", "golomb", "--p", "37", "-o", wide]) == 0
+    capsys.readouterr()
+    assert run(["verify", "identities", wide, "--seed", "1", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "r=37 > 32" in captured.err
+
     # a random sign matrix is not an embedding with these constants
     bad = str(tmp_path / "bad.cmx")
     assert run(["construct", "rademacher", "--m", "16", "--N", "4", "--seed", "0",
@@ -173,3 +193,30 @@ def test_design_pipeline(tmp_path, capsys):
     code, report = run_json(capsys, ["design", "defect", points, "--k", "2"])
     assert code == 0
     assert abs(report["defect"]) <= 1e-10
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    path = tmp_path / "g3.cmx"
+    env = dict(os.environ)
+    src = str(Path(ripforge.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ripforge", "construct", "golomb",
+                           "--p", "3", "-o", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["rows"] == 37
+    assert read_cmx(path).data.shape == (37, 3)
+
+
+def test_non_finite_matrix_exits_2(tmp_path, capsys):
+    header = ["#cmx 1", "field real"]
+    nan_path = tmp_path / "nan.cmx"
+    nan_path.write_text("\n".join(header + ["rows 2", "cols 2", "meta {}",
+                                            "1 nan", "0 1"]) + "\n")
+    inf_path = tmp_path / "inf.cmx"
+    inf_path.write_text("\n".join(header + ["rows 2", "cols 3", "meta {}",
+                                            "1 inf 0", "0 1 1"]) + "\n")
+    assert run(["certify", "coherence", str(nan_path)]) == 2
+    assert run(["certify", "ric", str(inf_path), "--s", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err

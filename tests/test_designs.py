@@ -51,6 +51,10 @@ def test_point_set_validation():
         WeightedPointSet(np.eye(3), np.array([0.5, 0.5, 0.5]))   # sums to 1.5
     with pytest.raises(InvalidPointSet):
         WeightedPointSet(np.eye(2), np.array([1.5, -0.5]))   # negative weight
+    with pytest.raises(InvalidPointSet):
+        WeightedPointSet(np.array([[1.0, 0.0], [np.nan, 0.0]]), np.ones(2) / 2)
+    with pytest.raises(InvalidPointSet):
+        WeightedPointSet(np.eye(2), np.array([np.nan, 1.0]))
 
 
 def test_design_defect_single_point():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ripforge.constructors import golomb_phase, weil
-from ripforge.errors import DimensionMismatch, ParseError
+from ripforge.errors import DimensionMismatch, NonFiniteEntry, ParseError
 from ripforge.matrix_core import Matrix, matvec, norm, read_cmx, write_cmx
 
 
@@ -51,6 +51,9 @@ def test_matrix_is_immutable_and_2d():
         mat.data[0, 0] = 5.0
     with pytest.raises(DimensionMismatch):
         Matrix(np.ones(3))
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(NonFiniteEntry):
+            Matrix(np.array([[1.0, bad]]))
 
 
 def test_cmx_round_trip_identity(tmp_path):
