@@ -88,14 +88,20 @@ class ProbeReport:
     empirical_distortion: float
 
 
+def column_norms(A) -> np.ndarray:
+    """l2 norms of the columns; raises ZeroColumn if a column is identically zero."""
+    norms = np.linalg.norm(as_array(A), axis=0)
+    if np.any(norms == 0.0):
+        raise ZeroColumn(f"column {int(np.argmin(norms))} is identically zero")
+    return norms
+
+
 def coherence(A) -> float:
     """max_{j != l} |<a_j, a_l>| over unit-normalized columns."""
     arr = as_array(A)
     if arr.shape[1] < 2:
         raise InvalidParams("coherence needs at least two columns")
-    norms = np.linalg.norm(arr, axis=0)
-    if np.any(norms == 0.0):
-        raise ZeroColumn(f"column {int(np.argmin(norms))} is identically zero")
+    norms = column_norms(arr)
     gram = np.abs(arr.conj().T @ arr) / np.outer(norms, norms)
     np.fill_diagonal(gram, 0.0)
     return float(gram.max())
@@ -238,10 +244,7 @@ def exact_ric(A, s: int, max_subsets: int = 1_000_000) -> float:
     n_subsets = math.comb(n, s)
     if n_subsets > max_subsets:
         raise TooLarge(f"C({n},{s}) = {n_subsets} subsets exceeds the cap {max_subsets}")
-    norms = np.linalg.norm(arr, axis=0)
-    if np.any(norms == 0.0):
-        raise ZeroColumn(f"column {int(np.argmin(norms))} is identically zero")
-    unit = arr / norms
+    unit = arr / column_norms(arr)
     gram = unit.conj().T @ unit
 
     worst = 0.0
@@ -271,6 +274,7 @@ def probe_l1(A, s: int, trials: int, seed: int) -> ProbeReport:
         raise InvalidParams(f"need 1 <= s <= {n}")
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
+    column_norms(arr)  # a zero column gives a zero ratio at s = 1
     rng = np.random.default_rng(seed)
     complex_field = np.iscomplexobj(arr)
     dtype = np.complex128 if complex_field else np.float64

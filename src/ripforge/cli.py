@@ -2,7 +2,8 @@
 
 Every subcommand prints a single-line JSON report on stdout and
 diagnostics on stderr, and exits with 0 (success / check passed),
-1 (certification or verification failed) or 2 (invalid input).  All
+1 (certification or verification failed) or 2 (invalid input, including
+a request too large for memory).  All
 randomized paths take an explicit --seed and reproduce byte-identical
 output for identical seeds.
 
@@ -157,6 +158,7 @@ def _cmd_probe(args) -> tuple[dict, bool]:
 def _cmd_verify(args) -> tuple[dict, bool]:
     import numpy as np
     from .analysis import l2_identity, l4_identity
+    from .certify import column_norms
     from .matrix_core import matvec, norm, read_cmx
 
     mat = read_cmx(args.file)
@@ -185,6 +187,7 @@ def _cmd_verify(args) -> tuple[dict, bool]:
                 "max_rel_deviation": worst, "tolerance": ISOMETRY_RTOL, "pass": ok}, ok
 
     # embedding: m/sqrt(2) ||x||_2 <= ||Ax||_1 <= m ||x||_2
+    column_norms(mat)  # a zero column violates the lower bound at x = e_j
     m = mat.rows
     lo, hi = np.inf, -np.inf
     for _ in range(args.trials):
@@ -404,6 +407,9 @@ def run(argv=None) -> int:
         return 1
     except (RipforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the shape and bytes asked for
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     _emit(report)
     return 0 if ok else 1

@@ -18,20 +18,21 @@ Deterministic families:
   l2 -> l1 embedding on s-sparse vectors.
 
 The only randomized family is ``rademacher``; it is fully determined by
-its seed.  All phase arguments are reduced modulo the relevant modulus in
-exact 64-bit integer arithmetic before the single float multiplication by
-2 pi / modulus, so entries carry no avoidable rounding error (for p up to
-1e4 the products stay below 18 p^4 < 2^63).
+its seed.  Every phase family follows one rule: the integer phase is
+reduced modulo the relevant modulus n in exact int64 arithmetic (for p up
+to 1e4 the products stay below 18 p^4 < 2^63), then looked up once in the
+table of n-th roots of unity exp(i 2 pi t / n), t in [0, n).  Entries thus
+carry no avoidable rounding error, and equal phases give equal bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidModulus, InvalidParams, NoPrimeInRange
+from .errors import CountExceedsFamily, InvalidModulus, InvalidParams, NoPrimeInRange
 from .golomb import build_ruler
 from .matrix_core import Matrix
-from .num_theory import is_prime, enumerate_polys, prime_in_range
+from .num_theory import is_prime, prime_in_range
 
 TWO_PI = 2.0 * np.pi
 
@@ -46,13 +47,27 @@ def rademacher(m: int, n_cols: int, seed: int) -> Matrix:
                               "seed": int(seed)})
 
 
+def _unit_roots(n: int, phase: np.ndarray) -> np.ndarray:
+    """exp(i 2 pi phase / n) for an integer array phase already reduced into [0, n)."""
+    return np.exp(1j * TWO_PI / n * np.arange(n))[phase]
+
+
 def _poly_values(p: int, d: int, n_cols: int) -> np.ndarray:
-    """Array vals[k, j] = f_j(k) for the first n_cols degree-<=d polynomials."""
-    polys = enumerate_polys(p, d, n_cols)
-    coeffs = np.array([f.coeffs for f in polys], dtype=np.int64)  # (n_cols, d+1)
+    """Array vals[k, j] = f_j(k) for the first n_cols degree-<=d polynomials.
+
+    Polynomial j has coefficients (c_0, ..., c_d) given by the base-p
+    digits of j, c_0 least significant: a fixed order, so re-running always
+    yields the same family in the same order.
+    """
+    family = p ** (d + 1)
+    if n_cols > family:
+        raise CountExceedsFamily(f"requested {n_cols} > family size p^(d+1) = {family}")
+    # p^e capped at n_cols keeps int64 exact: j // n_cols = 0 is the digit wherever p^e > j
+    place = np.array([min(p**e, n_cols) for e in range(d + 1)], dtype=np.int64)
+    digits = np.arange(n_cols, dtype=np.int64)[None, :] // place[:, None] % p
     k = np.arange(p, dtype=np.int64)[:, None]
     vals = np.zeros((p, n_cols), dtype=np.int64)
-    for c in coeffs.T[::-1]:  # Horner, top coefficient first
+    for c in digits[::-1]:  # Horner, top coefficient first
         vals = (vals * k + c[None, :]) % p
     return vals
 
@@ -69,15 +84,14 @@ def weil(p: int, d: int, n_cols: int | None = None) -> Matrix:
         raise InvalidParams(f"p={p} must be prime")
     if not 1 <= d < p:
         raise InvalidParams(f"need 1 <= d < p, got d={d}, p={p}")
-    family = p ** (d + 1)
     if n_cols is None:
-        n_cols = family
+        n_cols = p ** (d + 1)
     if n_cols < 1:
         raise InvalidParams("need at least one column")
-    vals = _poly_values(p, d, n_cols)
+    vals = _poly_values(p, d, n_cols)  # raises CountExceedsFamily if N > p^(d+1)
     k = np.arange(p, dtype=np.int64)[:, None]
     phase = (k * vals) % p
-    data = np.exp(1j * TWO_PI / p * phase) / np.sqrt(p)
+    data = _unit_roots(p, phase) / np.sqrt(p)
     return Matrix(data, meta={"construction": "weil", "p": p, "d": d, "N": n_cols})
 
 
@@ -95,7 +109,7 @@ def alltop(m: int) -> Matrix:
     y = np.arange(m, dtype=np.int64)
     cubic = (j[:, None] + x[None, :]) ** 3 % m            # (m, m) by translation
     phase = (cubic[:, :, None] + y[None, None, :] * j[:, None, None]) % m
-    data = np.exp(1j * TWO_PI / m * phase).reshape(m, m * m) / np.sqrt(m)
+    data = _unit_roots(m, phase).reshape(m, m * m) / np.sqrt(m)
     return Matrix(data, meta={"construction": "alltop", "m": m, "N": m * m})
 
 
@@ -133,8 +147,9 @@ def golomb_phase(p: int) -> Matrix:
     m = 2 * ruler.q - 1     # = 6p^2 - 6p + 1
     j = np.arange(m, dtype=np.int64)[:, None]
     g = np.asarray(ruler.marks, dtype=np.int64)[None, :]
-    phase = (j * g) % m
-    data = np.exp(1j * TWO_PI / m * phase)
+    phase = j * g
+    phase %= m  # in place: one m x p int64 temporary fewer
+    data = _unit_roots(m, phase)
     return Matrix(data, meta={"construction": "golomb_phase", "p": p, "m": m})
 
 
@@ -176,7 +191,7 @@ def composed(s: int, n_cols: int, p_override: int | None = None) -> Matrix:
     if p_override is None:
         bound = 9 * s * s * int(np.ceil(np.log(n_cols) ** 2))
         try:
-            p = int(prime_in_range(bound, 2 * bound))
+            p = prime_in_range(bound, 2 * bound)
         except (NoPrimeInRange, ValueError):
             raise InvalidParams(
                 f"parameter chain infeasible: no prime in [{bound}, {2 * bound}]; "

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidModulus
-from .num_theory import is_prime, square_mod
+from .num_theory import is_prime
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ def build_ruler(p: int) -> GolombRuler:
     """Construct the p-mark quadratic-residue ruler with range q = 3p(p-1)+1."""
     if p < 3 or not is_prime(p):
         raise InvalidModulus(f"p={p}: ruler construction needs a prime p >= 3")
-    marks = tuple(2 * p * k + square_mod(k, p) for k in range(p))
+    marks = tuple(2 * p * k + k * k % p for k in range(p))
     return GolombRuler(p=p, marks=marks, q=3 * p * (p - 1) + 1)
 
 

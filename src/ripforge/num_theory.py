@@ -1,17 +1,16 @@
-"""Exact integer and finite-field arithmetic.
+"""Primes for the finite-field constructions.
 
 Everything here is deterministic by design: primality uses a fixed
 Miller-Rabin witness set that is provably correct for all 64-bit inputs,
-prime search returns the smallest qualifying prime, and polynomial
-enumeration follows a fixed lexicographic order.  The matrix constructions
-built on top inherit their reproducibility from these choices.
+and prime search returns the smallest qualifying prime.  The matrix
+constructions built on top inherit their reproducibility from these
+choices.  Primes above MAX_MODULUS are refused: the constructions loop in
+Python over the p marks of a Golomb ruler, which is out of reach there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import CountExceedsFamily, InvalidModulus, NoPrimeInRange
+from .errors import InvalidModulus, NoPrimeInRange
 
 # Strong-pseudoprime witnesses; deterministic for all n < 3.317e24,
 # which covers the full 64-bit range (Sorenson & Webster).
@@ -46,26 +45,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A positive integer certified prime at construction time."""
-
-    p: int
-
-    def __post_init__(self):
-        if self.p > MAX_MODULUS:
-            raise InvalidModulus(f"p={self.p} exceeds the supported cap {MAX_MODULUS}")
-        if not is_prime(self.p):
-            raise InvalidModulus(f"p={self.p} is not prime")
-
-    def __int__(self) -> int:
-        return self.p
-
-    def __index__(self) -> int:
-        return self.p
-
-
-def prime_in_range(lo: int, hi: int) -> PrimeModulus:
+def prime_in_range(lo: int, hi: int) -> int:
     """Smallest prime in the closed interval [lo, hi].
 
     Smallest-first is a tie-breaking convention: any prime in the interval
@@ -76,69 +56,7 @@ def prime_in_range(lo: int, hi: int) -> PrimeModulus:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     for n in range(max(lo, 2), hi + 1):
         if is_prime(n):
-            return PrimeModulus(n)
+            if n > MAX_MODULUS:
+                raise InvalidModulus(f"p={n} exceeds the supported cap {MAX_MODULUS}")
+            return n
     raise NoPrimeInRange(f"no prime in [{lo}, {hi}]")
-
-
-def square_mod(k: int, p: PrimeModulus | int) -> int:
-    """The representative of k^2 mod p inside [0, p-1]."""
-    p = int(p)
-    if not 0 <= k < p:
-        raise ValueError(f"k={k} outside [0, {p - 1}]")
-    return k * k % p
-
-
-@dataclass(frozen=True)
-class PolyOverFp:
-    """Polynomial c_0 + c_1 x + ... + c_d x^d with coefficients in F_p."""
-
-    modulus: PrimeModulus
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        p = int(self.modulus)
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if not self.coeffs:
-            raise ValueError("coefficient list must be nonempty")
-        if any(not 0 <= c < p for c in self.coeffs):
-            raise ValueError(f"coefficients must lie in [0, {p - 1}]")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def poly_eval(f: PolyOverFp, k: int) -> int:
-    """Horner evaluation of f at k, reduced into [0, p-1]."""
-    p = int(f.modulus)
-    if not 0 <= k < p:
-        raise ValueError(f"k={k} outside [0, {p - 1}]")
-    val = 0
-    for c in reversed(f.coeffs):
-        val = (val * k + c) % p
-    return val
-
-
-def enumerate_polys(p: PrimeModulus | int, d: int, count: int) -> list[PolyOverFp]:
-    """First `count` degree-<=d polynomials over F_p in a fixed order.
-
-    The order is lexicographic on the coefficient tuple (c_0, ..., c_d)
-    with c_0 least significant, i.e. polynomial number i has coefficients
-    given by the base-p digits of i.  Re-running always yields the same
-    family in the same order.
-    """
-    modulus = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
-    p = int(modulus)
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    family = p ** (d + 1)
-    if count > family:
-        raise CountExceedsFamily(f"requested {count} > family size p^(d+1) = {family}")
-    polys = []
-    for i in range(count):
-        digits, n = [], i
-        for _ in range(d + 1):
-            digits.append(n % p)
-            n //= p
-        polys.append(PolyOverFp(modulus, tuple(digits)))
-    return polys

@@ -220,3 +220,32 @@ def test_non_finite_matrix_exits_2(tmp_path, capsys):
     assert run(["certify", "ric", str(inf_path), "--s", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "finite" in captured.err
+
+    zero_path = tmp_path / "zero.cmx"
+    zero_path.write_text("\n".join(header + ["rows 2", "cols 2", "meta {}",
+                                             "0 0", "0 0"]) + "\n")
+    one_zero_path = tmp_path / "one_zero.cmx"
+    one_zero_path.write_text("\n".join(header + ["rows 2", "cols 2", "meta {}",
+                                                 "1 0", "1 0"]) + "\n")
+    assert run(["probe", str(zero_path), "--s", "1", "--trials", "10", "--seed", "0"]) == 2
+    assert run(["verify", "embedding", str(zero_path), "--seed", "0"]) == 2
+    assert run(["probe", str(one_zero_path), "--s", "1", "--trials", "50",
+                "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("identically zero") == 3
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    import ripforge.certify
+
+    def coherence(A):
+        raise MemoryError("Unable to allocate 13.2 GiB for an array with shape "
+                          "(29791, 29791) and data type complex128")
+
+    monkeypatch.setattr(ripforge.certify, "coherence", coherence)
+    path = tmp_path / "r.cmx"
+    write_cmx(rademacher(4, 3, seed=0), path)
+    assert run(["certify", "coherence", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "out of memory" in captured.err and "(29791, 29791)" in captured.err

@@ -6,7 +6,6 @@ from ripforge.constructors import (alltop, composed, devore, golomb_phase,
 from ripforge.errors import CountExceedsFamily, InvalidModulus, InvalidParams
 from ripforge.golomb import build_ruler
 from ripforge.matrix_core import read_cmx, write_cmx
-from ripforge.num_theory import PolyOverFp, PrimeModulus, enumerate_polys, poly_eval
 
 
 # -- rademacher ----------------------------------------------------------------
@@ -56,13 +55,18 @@ def test_weil_coherence_within_character_sum_bound(p, d):
     assert gram.max() <= d / np.sqrt(p) + 1e-12
 
 
-def test_weil_entries_match_formula():
-    mat = weil(3, 2, 10)
-    polys = enumerate_polys(3, 2, 10)
-    for k in range(3):
-        for j, f in enumerate(polys):
-            expected = np.exp(2j * np.pi * k * poly_eval(f, k) / 3) / np.sqrt(3)
-            assert abs(mat.data[k, j] - expected) < 1e-15
+def test_weil_entries_match_formula(poly_value):
+    # (101, 10, 30): p^d exceeds int64, so the digits must not overflow
+    for p, d, n in [(3, 2, 10), (5, 2, 125), (7, 1, 30), (101, 10, 30)]:
+        mat = weil(p, d, n)
+        assert mat.data.shape == (p, n)
+        for k in range(p):
+            for j in range(n):
+                phase = k * poly_value(p, d, j, k) % p
+                expected = np.exp(2j * np.pi * phase / p) / np.sqrt(p)
+                assert abs(mat.data[k, j] - expected) < 1e-15, (p, d, n, k, j)
+        if d < p - 1:  # then k f(k) on F_p determines f: distinct polynomials, columns
+            assert len({col.tobytes() for col in mat.data.T}) == n
 
 
 # -- alltop ---------------------------------------------------------------------
@@ -184,7 +188,7 @@ def test_golomb_stacked_exact_l4_isometry(p):
 
 # -- composed ----------------------------------------------------------------------
 
-def test_composed_desk_scale_instance():
+def test_composed_desk_scale_instance(poly_value):
     mat = composed(1, 20, p_override=3)
     assert mat.data.shape == (37, 20)
     assert mat.meta["p"] == 3 and mat.meta["d"] == 2
@@ -192,14 +196,12 @@ def test_composed_desk_scale_instance():
     # oracle: evaluate the closed-form entry sum directly
     marks = build_ruler(3).marks
     m = 37
-    polys = enumerate_polys(3, 2, 20)
     rng = np.random.default_rng(0)
     for _ in range(60):
         j = int(rng.integers(m))
         fi = int(rng.integers(20))
-        f = polys[fi]
         expected = sum(
-            np.exp(2j * np.pi * (j * marks[k] / m + k * poly_eval(f, k) / 3))
+            np.exp(2j * np.pi * (j * marks[k] / m + k * poly_value(3, 2, fi, k) / 3))
             for k in range(3)) / np.sqrt(3)
         assert abs(mat.data[j, fi] - expected) <= 1e-10 * abs(expected) + 1e-12
 
@@ -230,6 +232,45 @@ def test_composed_infeasible_chain_names_the_range():
         composed(1, 1)  # empty prime interval, still an InvalidParams
     with pytest.raises(InvalidModulus):
         composed(1, 20, p_override=4)
+
+
+# -- phase kernel -------------------------------------------------------------------
+
+def _direct_phase_matrix(family, arg, poly_value):
+    """exp(i 2 pi phase / n) evaluated directly, phase reduced mod n in int64."""
+    if family == "golomb_phase":
+        n = 6 * arg * arg - 6 * arg + 1
+        marks = np.array(build_ruler(arg).marks, dtype=np.int64)
+        phase = np.arange(n, dtype=np.int64)[:, None] * marks[None, :] % n
+        return np.exp(1j * 2 * np.pi / n * phase)
+    if family == "alltop":
+        n = arg
+        t = np.arange(n, dtype=np.int64)
+        j, x, y = t[:, None, None], t[None, :, None], t[None, None, :]
+        phase = ((j + x) ** 3 % n + y * j) % n
+        return np.exp(1j * 2 * np.pi / n * phase).reshape(n, n * n) / np.sqrt(n)
+    n, d = arg
+    vals = np.array([[poly_value(n, d, i, k) for i in range(n ** (d + 1))]
+                     for k in range(n)], dtype=np.int64)
+    phase = np.arange(n, dtype=np.int64)[:, None] * vals % n
+    return np.exp(1j * 2 * np.pi / n * phase) / np.sqrt(n)
+
+
+@pytest.mark.parametrize("family,arg", [
+    ("golomb_phase", 3), ("golomb_phase", 19), ("golomb_phase", 37),
+    ("weil", (5, 2)), ("weil", (13, 2)), ("alltop", 5), ("alltop", 47),
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_phase_kernel_is_bit_identical_to_direct_formula(family, arg, poly_value):
+    # compared with a formula evaluated here, not a stored hash: complex exp
+    # comes from the platform's libm
+    if family == "golomb_phase":
+        mat = golomb_phase(arg)
+    elif family == "alltop":
+        mat = alltop(arg)
+    else:
+        mat = weil(*arg)
+    expected = _direct_phase_matrix(family, arg, poly_value)
+    assert mat.data.tobytes() == expected.tobytes()
 
 
 # -- meta provenance ---------------------------------------------------------------

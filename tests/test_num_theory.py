@@ -1,8 +1,7 @@
 import pytest
 
-from ripforge.errors import CountExceedsFamily, InvalidModulus, NoPrimeInRange
-from ripforge.num_theory import (PolyOverFp, PrimeModulus, enumerate_polys, is_prime,
-                                 poly_eval, prime_in_range, square_mod)
+from ripforge.errors import InvalidModulus, NoPrimeInRange
+from ripforge.num_theory import is_prime, prime_in_range
 
 
 def trial_division(n):
@@ -40,80 +39,27 @@ def test_is_prime_64bit_edge_cases(n, expected):
 
 
 def test_prime_in_range_examples():
-    assert int(prime_in_range(10, 20)) == 11
-    assert int(prime_in_range(9, 18)) == 11
+    assert prime_in_range(10, 20) == 11
+    assert prime_in_range(9, 18) == 11
     with pytest.raises(NoPrimeInRange):
         prime_in_range(24, 28)
     with pytest.raises(ValueError):
         prime_in_range(20, 10)
+    with pytest.raises(InvalidModulus):  # 2^31 + 11 is prime but above MAX_MODULUS
+        prime_in_range(2**31, 2**31 + 100)
 
 
 def test_bertrand_interval_always_contains_a_prime():
     for a in range(1, 2000):
-        assert int(prime_in_range(a, 2 * a)) <= 2 * a
+        assert prime_in_range(a, 2 * a) <= 2 * a
     import random
     rnd = random.Random(0)
     for _ in range(200):
         a = rnd.randrange(2000, 10**6)
-        p = int(prime_in_range(a, 2 * a))
+        p = prime_in_range(a, 2 * a)
         assert a <= p <= 2 * a and is_prime(p)
 
 
 def test_prime_in_range_returns_smallest():
-    assert int(prime_in_range(2, 100)) == 2
-    assert int(prime_in_range(90, 100)) == 97
-
-
-def test_square_mod():
-    assert square_mod(0, PrimeModulus(3)) == 0
-    assert square_mod(2, PrimeModulus(3)) == 1
-    assert square_mod(4, PrimeModulus(5)) == 1
-    with pytest.raises(ValueError):
-        square_mod(5, PrimeModulus(5))
-
-
-def test_prime_modulus_rejects_composites():
-    with pytest.raises(InvalidModulus):
-        PrimeModulus(4)
-    with pytest.raises(InvalidModulus):
-        PrimeModulus(1)
-
-
-def test_poly_eval_examples():
-    p5 = PrimeModulus(5)
-    assert poly_eval(PolyOverFp(p5, (1,)), 3) == 1
-    assert poly_eval(PolyOverFp(p5, (0, 1)), 3) == 3
-    assert poly_eval(PolyOverFp(PrimeModulus(3), (1, 2, 1)), 2) == (1 + 4 + 4) % 3
-
-
-def test_poly_eval_matches_power_sum_oracle():
-    import random
-    rnd = random.Random(7)
-    for _ in range(1000):
-        p = rnd.choice([3, 5, 7, 11, 13])
-        d = rnd.randrange(0, p)
-        coeffs = tuple(rnd.randrange(p) for _ in range(d + 1))
-        k = rnd.randrange(p)
-        f = PolyOverFp(PrimeModulus(p), coeffs)
-        expected = sum(c * k**i for i, c in enumerate(coeffs)) % p
-        got = poly_eval(f, k)
-        assert got == expected
-        assert 0 <= got < p
-
-
-def test_enumerate_polys_order_and_errors():
-    full = enumerate_polys(3, 1, 9)
-    assert len(full) == 9
-    assert full[0].coeffs == (0, 0)
-    # c_0 is least significant in the lexicographic order
-    first_two = enumerate_polys(3, 1, 2)
-    assert [f.coeffs for f in first_two] == [(0, 0), (1, 0)]
-    with pytest.raises(CountExceedsFamily):
-        enumerate_polys(3, 1, 10)
-
-
-def test_enumerate_polys_distinct_and_reproducible():
-    polys = enumerate_polys(5, 2, 100)
-    assert len({f.coeffs for f in polys}) == 100
-    again = enumerate_polys(5, 2, 100)
-    assert [f.coeffs for f in polys] == [f.coeffs for f in again]
+    assert prime_in_range(2, 100) == 2
+    assert prime_in_range(90, 100) == 97
