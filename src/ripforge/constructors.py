@@ -32,9 +32,12 @@ import numpy as np
 from .errors import CountExceedsFamily, InvalidModulus, InvalidParams, NoPrimeInRange
 from .golomb import build_ruler
 from .matrix_core import Matrix
-from .num_theory import is_prime, prime_in_range
+from .num_theory import MAX_MODULUS, is_prime, prime_in_range
 
 TWO_PI = 2.0 * np.pi
+# Most complex128 entries one numpy array can address; below this a p x N
+# table that does not fit in memory raises MemoryError instead.
+_MAX_ENTRIES = np.iinfo(np.intp).max // 16
 
 
 def rademacher(m: int, n_cols: int, seed: int) -> Matrix:
@@ -59,9 +62,13 @@ def _poly_values(p: int, d: int, n_cols: int) -> np.ndarray:
     digits of j, c_0 least significant: a fixed order, so re-running always
     yields the same family in the same order.
     """
+    if p > MAX_MODULUS:  # keeps the int64 products below p^2 exact
+        raise InvalidModulus(f"p={p} exceeds the supported cap {MAX_MODULUS}")
     family = p ** (d + 1)
     if n_cols > family:
         raise CountExceedsFamily(f"requested {n_cols} > family size p^(d+1) = {family}")
+    if p * n_cols > _MAX_ENTRIES:
+        raise InvalidParams(f"a {p} x {n_cols} array is larger than numpy can address")
     # p^e capped at n_cols keeps int64 exact: j // n_cols = 0 is the digit wherever p^e > j
     place = np.array([min(p**e, n_cols) for e in range(d + 1)], dtype=np.int64)
     digits = np.arange(n_cols, dtype=np.int64)[None, :] // place[:, None] % p

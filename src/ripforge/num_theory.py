@@ -4,8 +4,10 @@ Everything here is deterministic by design: primality uses a fixed
 Miller-Rabin witness set that is provably correct for all 64-bit inputs,
 and prime search returns the smallest qualifying prime.  The matrix
 constructions built on top inherit their reproducibility from these
-choices.  Primes above MAX_MODULUS are refused: the constructions loop in
-Python over the p marks of a Golomb ruler, which is out of reach there.
+choices.  prime_in_range refuses primes above MAX_MODULUS, and so do the
+polynomial families weil and devore: below it their int64 products of two
+residues stay exact, and above it the Golomb ruler's Python loop over p
+marks is out of reach.
 """
 
 from __future__ import annotations

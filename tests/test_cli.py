@@ -81,6 +81,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(["construct", "golomb", "--p", "5", "-o", phase]) == 0
     for prop in ("identities", "isometry", "embedding"):   # zero trials check nothing
         assert run(["verify", prop, phase, "--seed", "1", "--trials", "0"]) == 2
+    for family in (["weil", "--p", "2147483659", "--d", "1", "--N", "1"],  # p above the cap
+                   ["devore", "--p", "2147483659", "--d", "1"],
+                   ["weil", "--p", "101", "--d", "9"]):     # 101^10 columns
+        assert run(["construct", *family, "-o", str(tmp_path / "w.cmx")]) == 2
     for kappa in ("nan", "inf"):       # a non-finite threshold certifies nothing
         assert run(["construct", "lasvegas", "--m", "64", "--N", "16", "--kappa", kappa,
                     "--seed", "1", "-o", str(tmp_path / "k.cmx")]) == 2

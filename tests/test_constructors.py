@@ -47,6 +47,22 @@ def test_weil_rejects_large_degree():
         weil(3, 1, 10)
 
 
+def test_polynomial_families_refuse_oversized_input(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("an array was allocated before the input was refused")
+
+    monkeypatch.setattr(np, "arange", no_allocation)
+    big = 2147483659  # the smallest prime above MAX_MODULUS
+    with pytest.raises(InvalidModulus):
+        weil(big, 1, 1)
+    with pytest.raises(InvalidModulus):
+        devore(big, 1)
+    with pytest.raises(InvalidParams):  # 101^10 columns: no index can address them
+        weil(101, 9)
+    with pytest.raises(InvalidParams):
+        devore(101, 9)
+
+
 @pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 2), (7, 2)])
 def test_weil_coherence_within_character_sum_bound(p, d):
     mat = weil(p, d).data
