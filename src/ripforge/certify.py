@@ -36,7 +36,7 @@ import numpy as np
 from .constructors import rademacher
 from .errors import (InvalidDelta, InvalidParams, NotSignMatrix, RoundsExhausted,
                      TooLarge, ZeroColumn)
-from .matrix_core import Matrix, as_array
+from .matrix_core import Matrix, as_array, gram_strips
 
 SUBSEED_DERIVATION = "numpy SeedSequence((seed, round)), first uint64 word"
 
@@ -96,15 +96,31 @@ def column_norms(A) -> np.ndarray:
     return norms
 
 
+def _max_pair(arr: np.ndarray, norms=None) -> tuple[float, tuple[int, int]]:
+    """Largest |<a_j, a_l>| over j != l, divided by |a_j| |a_l| when norms are
+    given, and the first pair in row-major order that attains it (so j < l).
+
+    A running max over gram_strips; the diagonal is masked below any valid value.
+    """
+    best, witness = -1.0, None
+    for i, strip in gram_strips(arr):
+        vals = np.abs(strip)
+        if norms is not None:
+            vals /= norms[i:i + len(vals), None] * norms
+        rows = np.arange(len(vals))
+        vals[rows, i + rows] = -1.0
+        r, c = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[r, c] > best:
+            best, witness = float(vals[r, c]), (i + int(r), int(c))
+    return best, witness
+
+
 def coherence(A) -> float:
     """max_{j != l} |<a_j, a_l>| over unit-normalized columns."""
     arr = as_array(A)
     if arr.shape[1] < 2:
         raise InvalidParams("coherence needs at least two columns")
-    norms = column_norms(arr)
-    gram = np.abs(arr.conj().T @ arr) / np.outer(norms, norms)
-    np.fill_diagonal(gram, 0.0)
-    return float(gram.max())
+    return _max_pair(arr, column_norms(arr))[0]
 
 
 def default_kappa(n_cols: int) -> float:
@@ -128,12 +144,8 @@ def condition_a(A, kappa: float) -> ConditionCheck:
     threshold = kappa * math.sqrt(m)
     if n < 2:
         return ConditionCheck(True, 0, None, threshold)
-    gram = arr.T @ arr
-    np.fill_diagonal(gram, 0.0)
-    vals = np.abs(gram)
-    k, kp = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    max_sum = int(round(vals[k, kp]))
-    witness = (int(min(k, kp)), int(max(k, kp)))
+    best, witness = _max_pair(arr)  # exact integer sums
+    max_sum = int(round(best))
     return ConditionCheck(max_sum <= threshold, max_sum, witness, threshold)
 
 

@@ -19,10 +19,11 @@ Deterministic families:
 
 The only randomized family is ``rademacher``; it is fully determined by
 its seed.  Every phase family follows one rule: the integer phase is
-reduced modulo the relevant modulus n in exact int64 arithmetic (for p up
-to 1e4 the products stay below 18 p^4 < 2^63), then looked up once in the
-table of n-th roots of unity exp(i 2 pi t / n), t in [0, n).  Entries thus
-carry no avoidable rounding error, and equal phases give equal bits.
+reduced modulo the relevant modulus n in exact int64 arithmetic
+(golomb_phase refuses any p whose products j g(k) < m q ~ 18 p^4 could
+reach 2^63), then looked up once in the table of n-th roots of unity
+exp(i 2 pi t / n), t in [0, n).  Entries thus carry no avoidable rounding
+error, and equal phases give equal bits.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ def _unit_roots(n: int, phase: np.ndarray) -> np.ndarray:
     return np.exp(1j * TWO_PI / n * np.arange(n))[phase]
 
 
-def _poly_values(p: int, d: int, n_cols: int) -> np.ndarray:
-    """Array vals[k, j] = f_j(k) for the first n_cols degree-<=d polynomials.
+def _poly_values(p: int, d: int, n_cols: int | None = None) -> np.ndarray:
+    """Array vals[k, j] = f_j(k) for the first n_cols degree-<=d polynomials
+    (all p^(d+1) of them when n_cols is None).
 
     Polynomial j has coefficients (c_0, ..., c_d) given by the base-p
     digits of j, c_0 least significant: a fixed order, so re-running always
@@ -64,17 +66,27 @@ def _poly_values(p: int, d: int, n_cols: int) -> np.ndarray:
     """
     if p > MAX_MODULUS:  # keeps the int64 products below p^2 exact
         raise InvalidModulus(f"p={p} exceeds the supported cap {MAX_MODULUS}")
-    family = p ** (d + 1)
-    if n_cols > family:
-        raise CountExceedsFamily(f"requested {n_cols} > family size p^(d+1) = {family}")
-    if p * n_cols > _MAX_ENTRIES:
+    most = _MAX_ENTRIES // p  # most columns a p-row table can address
+    wanted = most + 1 if n_cols is None else n_cols
+    # place values p^e by capped multiplication, up to the first p^e >= wanted
+    # or e = d+1; the digits of j < N at the places p^e >= N are all zero
+    place = [1]
+    while place[-1] < wanted and len(place) <= d + 1:
+        place.append(place[-1] * p)
+    if n_cols is None:
+        if place[-1] > most:
+            raise InvalidParams(f"the {p}^{d + 1} polynomials of degree <= {d} are more "
+                                f"columns than numpy can address")
+        n_cols = place[-1]
+    elif place[-1] < n_cols:
+        raise CountExceedsFamily(f"requested {n_cols} > family size p^(d+1) = {place[-1]}")
+    if n_cols > most:
         raise InvalidParams(f"a {p} x {n_cols} array is larger than numpy can address")
-    # p^e capped at n_cols keeps int64 exact: j // n_cols = 0 is the digit wherever p^e > j
-    place = np.array([min(p**e, n_cols) for e in range(d + 1)], dtype=np.int64)
+    place = np.array(place[:-1], dtype=np.int64)  # the places below N
     digits = np.arange(n_cols, dtype=np.int64)[None, :] // place[:, None] % p
     k = np.arange(p, dtype=np.int64)[:, None]
     vals = np.zeros((p, n_cols), dtype=np.int64)
-    for c in digits[::-1]:  # Horner, top coefficient first
+    for c in digits[::-1]:  # Horner, highest place first
         vals = (vals * k + c[None, :]) % p
     return vals
 
@@ -91,15 +103,13 @@ def weil(p: int, d: int, n_cols: int | None = None) -> Matrix:
         raise InvalidParams(f"p={p} must be prime")
     if not 1 <= d < p:
         raise InvalidParams(f"need 1 <= d < p, got d={d}, p={p}")
-    if n_cols is None:
-        n_cols = p ** (d + 1)
-    if n_cols < 1:
+    if n_cols is not None and n_cols < 1:
         raise InvalidParams("need at least one column")
     vals = _poly_values(p, d, n_cols)  # raises CountExceedsFamily if N > p^(d+1)
     k = np.arange(p, dtype=np.int64)[:, None]
     phase = (k * vals) % p
     data = _unit_roots(p, phase) / np.sqrt(p)
-    return Matrix(data, meta={"construction": "weil", "p": p, "d": d, "N": n_cols})
+    return Matrix(data, meta={"construction": "weil", "p": p, "d": d, "N": vals.shape[1]})
 
 
 def alltop(m: int) -> Matrix:
@@ -132,8 +142,8 @@ def devore(p: int, d: int) -> Matrix:
         raise InvalidParams(f"p={p} must be prime")
     if not 1 <= d < p:
         raise InvalidParams(f"need 1 <= d < p, got d={d}, p={p}")
-    n_cols = p ** (d + 1)
-    vals = _poly_values(p, d, n_cols)                      # (p, n_cols)
+    vals = _poly_values(p, d)                              # (p, p^(d+1))
+    n_cols = vals.shape[1]
     data = np.zeros((p * p, n_cols), dtype=np.float64)
     cols = np.broadcast_to(np.arange(n_cols), (p, n_cols))
     rows = np.arange(p, dtype=np.int64)[:, None] * p + vals
@@ -150,8 +160,11 @@ def golomb_phase(p: int) -> Matrix:
     columns are exactly orthogonal and all fourth-order column products
     over distinct ordered pairs vanish.
     """
+    q = 3 * p * (p - 1) + 1
+    m = 2 * q - 1           # = 6p^2 - 6p + 1
+    if m * q >= 2**63:      # the phases j g(k) < m q are int64 products
+        raise InvalidModulus(f"p={p}: the phase products reach m q = {m * q} >= 2^63")
     ruler = build_ruler(p)  # rejects p < 3 and composites
-    m = 2 * ruler.q - 1     # = 6p^2 - 6p + 1
     j = np.arange(m, dtype=np.int64)[:, None]
     g = np.asarray(ruler.marks, dtype=np.int64)[None, :]
     phase = j * g

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (EpsilonOutOfRange, InvalidParams, InvalidPointSet, ParseError,
                      RipforgeError, TooLarge, UnsupportedK, ZeroRow)
-from .matrix_core import Matrix, as_array, read_cmx, write_cmx
+from .matrix_core import Matrix, as_array, gram_strips, read_cmx, write_cmx
 
 UNIT_TOL = 1e-12
 FIELDS = ("real", "complex")
@@ -159,14 +159,16 @@ def design_defect(ps: WeightedPointSet, k: int) -> float:
     """Gram-sum defect sum_{i,j} tau_i tau_j |<x_i,x_j>|^(2k) - delta_{n,2k}.
 
     Nonnegative up to roundoff (Sidelnikov); zero iff the weighted set is
-    a 2k-design.
+    a 2k-design.  Summed strip by strip over gram_strips, so no N x N Gram
+    of the N points is held.
     """
     if k < 1:
         raise InvalidParams("need k >= 1")
-    pts, w = ps.points, ps.weights
-    gram = pts @ pts.conj().T
-    abs2 = (gram * gram.conj()).real
-    gram_sum = float(w @ abs2**k @ w)
+    w = ps.weights
+    gram_sum = 0.0
+    for i, strip in gram_strips(ps.points.T):
+        abs2 = (strip * strip.conj()).real
+        gram_sum += float(w[i:i + len(abs2)] @ abs2**k @ w)
     return gram_sum - delta_closed_form(ps.dim, k, ps.field_name)
 
 
@@ -246,7 +248,10 @@ def write_design(ps: WeightedPointSet, path, extra_meta: dict | None = None) -> 
 def read_design(path) -> WeightedPointSet:
     """Inverse of write_design."""
     mat = read_cmx(path)
-    weights = mat.meta.get("weights")
-    if not isinstance(weights, list) or len(weights) != mat.rows:
-        raise ParseError("meta must carry one weight per row in 'weights'")
-    return WeightedPointSet(mat.data, np.asarray(weights, dtype=np.float64))
+    try:
+        weights = np.asarray(mat.meta.get("weights"), dtype=np.float64)
+        if weights.shape != (mat.rows,):
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ParseError("meta must carry one number per row in 'weights'") from None
+    return WeightedPointSet(mat.data, weights)

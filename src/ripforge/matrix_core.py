@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteEntry, ParseError
 
 CMX_MAGIC = "#cmx 1"
+GRAM_STRIP_BYTES = 32 << 20  # largest Gram strip gram_strips holds at once
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,17 @@ def matvec(A, x) -> np.ndarray:
     return arr @ x
 
 
+def gram_strips(X):
+    """Yield (i, X[:, i:j]^H X): the column Gram of X as consecutive full-width
+    row strips, each under GRAM_STRIP_BYTES, so no N x N Gram is ever held."""
+    arr = as_array(X)
+    n = arr.shape[1]
+    itemsize = np.result_type(arr.dtype, np.float64).itemsize
+    height = max(1, GRAM_STRIP_BYTES // (n * itemsize))
+    for i in range(0, n, height):
+        yield i, arr[:, i:i + height].conj().T @ arr
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -107,8 +119,11 @@ def _parse_header_line(lines, idx: int, key: str) -> str:
 
 def read_cmx(path) -> Matrix:
     """Parse a CMX v1 file back into a Matrix; inverse of write_cmx."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e}") from e
 
     if not lines or lines[0] != CMX_MAGIC:
         raise ParseError(f"bad magic, expected {CMX_MAGIC!r}", lineno=1)
@@ -124,8 +139,10 @@ def read_cmx(path) -> Matrix:
         raise ParseError("rows and cols must be positive", lineno=3)
     try:
         meta = json.loads(_parse_header_line(lines, 4, "meta"))
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise ParseError(f"meta is not valid JSON: {e}", lineno=5) from e
+    if not isinstance(meta, dict):
+        raise ParseError("meta must be a JSON object", lineno=5)
 
     data_lines = lines[5:]
     while data_lines and data_lines[-1] == "":
@@ -134,12 +151,15 @@ def read_cmx(path) -> Matrix:
         raise ParseError(f"expected {rows} data lines, found {len(data_lines)}",
                          lineno=5 + len(data_lines))
 
+    for i, line in enumerate(data_lines):  # before allocating rows x cols
+        if line.count(" ") != cols - 1:
+            raise ParseError(f"expected {cols} entries, found {line.count(' ') + 1}",
+                             lineno=6 + i)
+
     complex_field = field_name == "complex"
     out = np.empty((rows, cols), dtype=np.complex128 if complex_field else np.float64)
     for i, line in enumerate(data_lines):
         tokens = line.split(" ")
-        if len(tokens) != cols:
-            raise ParseError(f"expected {cols} entries, found {len(tokens)}", lineno=6 + i)
         try:
             if complex_field:
                 for j, tok in enumerate(tokens):

@@ -7,7 +7,8 @@ import pytest
 from ripforge.certify import (CertReport, certify_sign_matrix, coherence, condition_a,
                               condition_b, default_kappa, derive_subseed, exact_ric,
                               las_vegas, probe_l1, theorem1_bound)
-from ripforge.constructors import alltop, golomb_phase, rademacher, weil
+from ripforge.constructors import (alltop, devore, golomb_phase, golomb_stacked,
+                                   rademacher, weil)
 from ripforge.errors import (InvalidDelta, InvalidParams, NotSignMatrix,
                              RoundsExhausted, TooLarge, ZeroColumn)
 from ripforge.matrix_core import Matrix
@@ -42,6 +43,7 @@ def test_condition_a_examples():
     ortho = Matrix(np.array([[1.0, 1.0], [1.0, -1.0]]))
     check = condition_a(ortho, kappa=0.1)
     assert check.passed and check.max_sum == 0
+    assert check.witness == (0, 1)  # a pair, even when every pair sum is 0
 
     dup = Matrix(np.hstack([np.ones((100, 1)), np.ones((100, 1))]))
     check = condition_a(dup, kappa=5.0)
@@ -68,6 +70,25 @@ def test_condition_a_matches_integer_oracle():
         for kp in range(k + 1, 8):
             expected = max(expected, abs(int(np.sum(arr[:, k] * arr[:, kp]))))
     assert condition_a(mat, kappa=1.0).max_sum == expected
+
+
+GALLERY = [(weil, (5, 2)), (weil, (13, 2)), (alltop, (47,)), (devore, (13, 2)),
+           (golomb_stacked, (23,))]
+SIGN_DRAWS = [(37, 8, 5), (8, 40, 1), (9, 41, 2), (64, 16, 3), (21, 33, 4), (4, 30, 6)]
+
+
+def test_gram_kernel_matches_dense_referees(strip_budget, dense_max_pair):
+    for make, args in GALLERY:
+        mat = make(*args)
+        assert coherence(mat) == pytest.approx(dense_max_pair(mat.data, unit=True)[0],
+                                               abs=1e-15), (make.__name__, args)
+    for m, n, seed in SIGN_DRAWS:  # small m: many tied pair sums, across strips
+        draw = rademacher(m, n, seed)
+        assert coherence(draw) == pytest.approx(dense_max_pair(draw.data, unit=True)[0],
+                                                abs=1e-15), (m, n, seed)
+        check = condition_a(draw, kappa=1.0)
+        want = dense_max_pair(draw.data.astype(np.int64), unit=False)
+        assert (check.max_sum, check.witness) == want, (m, n, seed)
 
 
 def test_condition_b_vacuous_below_four_columns():

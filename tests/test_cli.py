@@ -83,7 +83,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert run(["verify", prop, phase, "--seed", "1", "--trials", "0"]) == 2
     for family in (["weil", "--p", "2147483659", "--d", "1", "--N", "1"],  # p above the cap
                    ["devore", "--p", "2147483659", "--d", "1"],
-                   ["weil", "--p", "101", "--d", "9"]):     # 101^10 columns
+                   ["weil", "--p", "101", "--d", "9"],      # 101^10 columns
+                   ["weil", "--p", "2147483647", "--d", "2147483646"],
+                   ["golomb", "--p", "2147483647"],         # int64 phases overflow
+                   ["golomb-stacked", "--p", "2147483647"],
+                   ["composed", "--s", "1", "--N", "10", "--p", "2147483647"]):
         assert run(["construct", *family, "-o", str(tmp_path / "w.cmx")]) == 2
     for kappa in ("nan", "inf"):       # a non-finite threshold certifies nothing
         assert run(["construct", "lasvegas", "--m", "64", "--N", "16", "--kappa", kappa,

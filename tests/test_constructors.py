@@ -61,6 +61,10 @@ def test_polynomial_families_refuse_oversized_input(monkeypatch):
         weil(101, 9)
     with pytest.raises(InvalidParams):
         devore(101, 9)
+    with pytest.raises(InvalidParams):  # refused without forming p^(d+1), 20 Mbit here
+        weil(1000003, 1000002)
+    with pytest.raises(CountExceedsFamily):
+        weil(101, 10, 101**11 + 1)
 
 
 @pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 2), (7, 2)])
@@ -72,15 +76,15 @@ def test_weil_coherence_within_character_sum_bound(p, d):
 
 
 def test_weil_entries_match_formula(poly_value):
-    # (101, 10, 30): p^d exceeds int64, so the digits must not overflow
-    for p, d, n in [(3, 2, 10), (5, 2, 125), (7, 1, 30), (101, 10, 30)]:
+    # (101, 10, 30): p^d exceeds int64, so the digits must not overflow;
+    # (100003, 20000, 5): only the places p^e below N are computed
+    for p, d, n in [(3, 2, 10), (5, 2, 125), (7, 1, 30), (101, 10, 30), (100003, 20000, 5)]:
         mat = weil(p, d, n)
         assert mat.data.shape == (p, n)
-        for k in range(p):
-            for j in range(n):
-                phase = k * poly_value(p, d, j, k) % p
-                expected = np.exp(2j * np.pi * phase / p) / np.sqrt(p)
-                assert abs(mat.data[k, j] - expected) < 1e-15, (p, d, n, k, j)
+        phase = np.array([[k * poly_value(p, d, j, k) % p for j in range(n)]
+                          for k in range(p)])
+        expected = np.exp(2j * np.pi * phase / p) / np.sqrt(p)
+        assert np.abs(mat.data - expected).max() < 1e-15, (p, d, n)
         if d < p - 1:  # then k f(k) on F_p determines f: distinct polynomials, columns
             assert len({col.tobytes() for col in mat.data.T}) == n
 
@@ -140,6 +144,13 @@ def test_golomb_phase_shape_and_zero_row():
     assert golomb_phase(5).data.shape == (121, 5)
     with pytest.raises(InvalidModulus):
         golomb_phase(2)
+    # m q = (6p^2 - 6p + 1)(3p^2 - 3p + 1) bounds every phase j g(k); it first
+    # reaches 2^63 at p = 26756, so int64 phases are refused from there on
+    assert (6 * 26755**2 - 6 * 26755 + 1) * (3 * 26755**2 - 3 * 26755 + 1) < 2**63
+    for p in (26759, 2147483647):  # the first prime past the bound, and MAX_MODULUS
+        for make in (golomb_phase, golomb_stacked, lambda p: composed(1, 10, p_override=p)):
+            with pytest.raises(InvalidModulus, match="2\\^63"):
+                make(p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from ripforge.constructors import golomb_stacked
+from ripforge.constructors import alltop, devore, golomb_stacked, rademacher, weil
 from ripforge.designs import (EpsilonChain, WeightedPointSet, delta_closed_form,
                               delta_monte_carlo, design_defect, epsilon_chain,
                               matrix_to_design, read_design, tensor_defect_explicit,
                               write_design)
-from ripforge.errors import (EpsilonOutOfRange, InvalidParams, InvalidPointSet,
+from ripforge.errors import (EpsilonOutOfRange, InvalidParams, InvalidPointSet, ParseError,
                              UnsupportedK, ZeroRow)
+from ripforge.matrix_core import Matrix, write_cmx
 
 
 def random_point_set(rng, n_points, dim, complex_field):
@@ -77,13 +78,24 @@ def test_design_defect_from_stacked_isometry():
     assert design_defect(ps, 2) >= -1e-10
 
 
-def test_sidelnikov_nonnegativity():
+def test_sidelnikov_nonnegativity(dense_defect):
     rng = np.random.default_rng(0)
     for _ in range(200):
         n = int(rng.choice([2, 3, 5]))
         k = int(rng.choice([1, 2, 3]))
         ps = random_point_set(rng, int(rng.integers(1, 8)), n, bool(rng.integers(2)))
         assert design_defect(ps, k) >= -1e-10
+        assert design_defect(ps, k) == pytest.approx(dense_defect(ps, k), abs=1e-14)
+
+
+def test_design_defect_matches_dense_referee(strip_budget, dense_defect):
+    gallery = [weil(5, 2), weil(13, 2), alltop(47), devore(13, 2), golomb_stacked(23),
+               rademacher(40, 7, seed=1), rademacher(9, 5, seed=2)]
+    for mat in gallery:
+        for k in (1, 2):
+            ps, _ = matrix_to_design(mat, k)
+            assert design_defect(ps, k) == pytest.approx(dense_defect(ps, k), abs=1e-14), \
+                (mat.meta, k)
 
 
 def test_tensor_defect_explicit_agrees_with_gram_sum():
@@ -136,3 +148,8 @@ def test_design_round_trip(tmp_path):
     back = read_design(path)
     assert np.array_equal(back.points, ps.points)
     assert np.array_equal(back.weights, ps.weights)
+
+    for weights in (None, 5, [0.5] * 5, ["a"] * 6, [[1]] * 6, {"a": 1}):  # one number per row
+        write_cmx(Matrix(ps.points, meta={"weights": weights}), path)
+        with pytest.raises(ParseError):
+            read_design(path)

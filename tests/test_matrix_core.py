@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ripforge import matrix_core
 from ripforge.constructors import golomb_phase, weil
-from ripforge.errors import DimensionMismatch, NonFiniteEntry, ParseError
-from ripforge.matrix_core import Matrix, matvec, norm, read_cmx, write_cmx
+from ripforge.errors import DimensionMismatch, NonFiniteEntry, ParseError, RipforgeError
+from ripforge.matrix_core import Matrix, gram_strips, matvec, norm, read_cmx, write_cmx
 
 
 def test_norm_examples():
@@ -125,11 +126,70 @@ def test_cmx_parse_errors(tmp_path):
     with pytest.raises(ParseError):
         read_cmx(path)
 
-    # meta is not JSON
-    _write_lines(path, ["#cmx 1", "field real", "rows 1", "cols 1", "meta nope", "1"])
-    with pytest.raises(ParseError) as err:
+    # meta is not JSON (too deep, an int past Python's digit limit), or not an object
+    for meta in ("nope", "[" * 100_000, "1" * 5000, "5", "[]"):
+        _write_lines(path, ["#cmx 1", "field real", "rows 1", "cols 1", f"meta {meta}", "1"])
+        with pytest.raises(ParseError) as err:
+            read_cmx(path)
+        assert err.value.lineno == 5
+
+    # a column count no array can hold is refused from the token count
+    _write_lines(path, ["#cmx 1", "field real", "rows 1", "cols 100000000000000000000",
+                        "meta {}", "1"])
+    with pytest.raises(ParseError, match="entries") as err:
         read_cmx(path)
-    assert err.value.lineno == 5
+    assert err.value.lineno == 6
+
+    # not UTF-8
+    path.write_bytes(b"#cmx 1\nfield real\nrows 1\ncols 1\nmeta {}\n\xff\n")
+    with pytest.raises(ParseError, match="UTF-8"):
+        read_cmx(path)
+
+
+_HEADER = b"#cmx 1\nfield real\nrows 1\ncols 2\nmeta {}\n"
+_CMX_TEXT = st.builds(
+    lambda field, rows, cols, meta, lines: "\n".join(
+        ["#cmx 1", f"field {field}", f"rows {rows}", f"cols {cols}", f"meta {meta}", *lines]),
+    st.sampled_from(["real", "complex"]),
+    st.one_of(st.integers(-1, 3).map(str), st.just(str(10**20)), st.text(max_size=3)),
+    st.one_of(st.integers(-1, 3).map(str), st.just(str(10**20)), st.text(max_size=3)),
+    st.one_of(st.sampled_from(["{}", '{"k": [1, 2]}', "5", "[]", "null", "NaN", "{"]),
+              st.text(max_size=8)),
+    st.lists(st.lists(st.one_of(st.sampled_from(["1", "-0.5", "1:2", "0:-1e-300", "nan",
+                                                 "1e400", "", ":", "1:2:3", "0x1"]),
+                                st.text(max_size=4)), max_size=4).map(" ".join),
+             max_size=4),
+).map(lambda text: text.encode("utf-8"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.binary(max_size=120), st.binary(max_size=40).map(_HEADER.__add__),
+                 _CMX_TEXT))
+def test_read_cmx_parses_or_raises_ripforge_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "f.cmx"
+    path.write_bytes(raw)
+    try:
+        read_cmx(path)
+    except RipforgeError:
+        pass
+
+
+def test_gram_strips_tile_the_gram(monkeypatch):
+    rng = np.random.default_rng(0)
+    real = rng.standard_normal((5, 23))
+    shipped = matrix_core.GRAM_STRIP_BYTES
+    for arr in (real, real + 1j * rng.standard_normal((5, 23))):
+        row_bytes = 23 * arr.itemsize
+        for budget in (shipped, 1000, 1):  # one strip, a few rows each, one row each
+            monkeypatch.setattr(matrix_core, "GRAM_STRIP_BYTES", budget)
+            height = min(23, max(1, budget // row_bytes))
+            strips = list(gram_strips(Matrix(arr)))
+            assert [i for i, _ in strips] == list(range(0, 23, height))
+            for i, strip in strips:
+                assert strip.shape == (min(height, 23 - i), 23)
+                assert strip.nbytes <= max(budget, row_bytes)
+            gram = np.vstack([strip for _, strip in strips])
+            assert np.abs(gram - arr.conj().T @ arr).max() <= 1e-12
 
 
 def test_cmx_missing_file_raises_oserror(tmp_path):
