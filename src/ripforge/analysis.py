@@ -15,7 +15,9 @@ of ordered pairs (k != k') != (l != l'); S2 additionally excludes the
 swapped coincidence (k != k') = (l' != l).  These quadruple sums are
 enumerated exactly as stated (vectorized over the full index grid with
 boolean masks, no symmetry shortcuts), so the functions here serve as
-oracles for the matrix constructions.
+oracles for the matrix constructions.  quadruple_tensor holds the
+x-independent part of S1 and S2 for checking many vectors against one
+matrix; l4_identity without it stays the oracle for that path.
 
 The l1 floor ||y||_1 >= ||y||_2^3 / ||y||_4^2 (Holder with exponents
 3 and 3/2 applied to |y_i|^(2/3) * |y_i)^(4/3)) turns an upper l4 bound
@@ -34,6 +36,7 @@ from .matrix_core import as_array, matvec, norm
 
 UNIMODULAR_TOL = 1e-12
 MAX_QUARTIC_COLS = 32
+QUAD_BLOCK_ROWS = 256  # rows of B per block of pair products in quadruple_tensor
 
 
 @dataclass(frozen=True)
@@ -99,11 +102,52 @@ def _quadruple_sums(B: np.ndarray, x: np.ndarray) -> tuple[complex, complex]:
     return complex(weighted[mask1].sum()), complex(weighted[mask2].sum())
 
 
-def l4_identity(B, x) -> IdentityReport:
+def quadruple_tensor(B) -> np.ndarray:
+    """T(k,k',l,l') = sum_j conj(B_{j,k}) B_{j,k'} B_{j,l} conj(B_{j,l'}) on the
+    S1 index set, zero elsewhere, as an r^2 x r^2 array indexed by (k,k'), (l,l').
+
+    T does not depend on x: build it once and pass it to l4_identity for
+    every vector.  It is accumulated over blocks of QUAD_BLOCK_ROWS rows, so
+    the q x r^2 pair products are never all held at once.
+    """
+    B = np.asarray(as_array(B), dtype=np.complex128)
+    _check_unimodular(B)
+    q, r = B.shape
+    if r > MAX_QUARTIC_COLS:
+        raise TooManyColumns(f"quadruple enumeration is quartic; r={r} > {MAX_QUARTIC_COLS}")
+    tensor = np.zeros((r * r, r * r), dtype=np.complex128)
+    for i in range(0, q, QUAD_BLOCK_ROWS):
+        block = B[i:i + QUAD_BLOCK_ROWS]
+        prods = np.einsum("jk,jl->jkl", block.conj(), block).reshape(len(block), r * r)
+        tensor += prods.T @ prods.conj()
+    quad = tensor.reshape(r, r, r, r)
+    diag = np.arange(r)
+    quad[diag, diag] = 0                                  # k = k'
+    quad[:, :, diag, diag] = 0                            # l = l'
+    tensor[np.arange(r * r), np.arange(r * r)] = 0        # (k,k') = (l,l')
+    return tensor
+
+
+def _tensor_sums(tensor: np.ndarray, x: np.ndarray) -> tuple[complex, complex]:
+    """S1 and S2 from quadruple_tensor: S1 weights every entry, S2 drops the
+    swapped coincidences (l,l') = (k',k), whose weight is conj(x_k)^2 x_{k'}^2."""
+    r = x.shape[0]
+    if tensor.shape != (r * r, r * r):
+        raise DimensionMismatch(f"tensor has shape {tensor.shape}, x needs {(r * r, r * r)}")
+    w_left = np.outer(x.conj(), x).reshape(r * r)
+    sigma1 = complex(w_left @ (tensor @ w_left.conj()))
+    k, kp = np.indices((r, r))
+    swapped = tensor.reshape(r, r, r, r)[k, kp, kp, k]   # zero where k = k'
+    return sigma1, sigma1 - complex((np.outer(x.conj() ** 2, x**2) * swapped).sum())
+
+
+def l4_identity(B, x, tensor=None) -> IdentityReport:
     """Check ||Bx||_4^4 against both quadruple-sum expansions.
 
     `formula_value` uses the S1 form, `formula_value_split` the form that
-    isolates the squared-pair sum and S2; both gaps are reported.
+    isolates the squared-pair sum and S2; both gaps are reported.  Without
+    a tensor the quadruple sums are enumerated over the full index grid (the
+    oracle); with quadruple_tensor(B) they are two products with it.
     """
     B = np.asarray(as_array(B), dtype=np.complex128)
     _check_unimodular(B)
@@ -114,7 +158,10 @@ def l4_identity(B, x) -> IdentityReport:
 
     direct = norm(B @ x, 4) ** 4
     common = 2.0 * norm(x, 2) ** 2 * norm(B @ x, 2) ** 2 - q * norm(x, 4) ** 4
-    sigma1, sigma2 = _quadruple_sums(B, x)
+    if tensor is None:
+        sigma1, sigma2 = _quadruple_sums(B, x)
+    else:
+        sigma1, sigma2 = _tensor_sums(tensor, x)
 
     square_pairs = (B.conj() ** 2).T @ (B**2)             # Q(k, k')
     w_sq = np.outer(x.conj() ** 2, x**2)

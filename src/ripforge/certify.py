@@ -105,8 +105,10 @@ def _max_pair(arr: np.ndarray, norms=None) -> tuple[float, tuple[int, int]]:
     best, witness = -1.0, None
     for i, strip in gram_strips(arr):
         vals = np.abs(strip)
+        del strip  # hold one strip-sized array, not two
         if norms is not None:
-            vals /= norms[i:i + len(vals), None] * norms
+            for k, row in enumerate(vals):  # no strip-sized outer product of norms
+                row /= norms[i + k] * norms
         rows = np.arange(len(vals))
         vals[rows, i + rows] = -1.0
         r, c = np.unravel_index(int(np.argmax(vals)), vals.shape)

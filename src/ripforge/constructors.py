@@ -189,9 +189,12 @@ def golomb_stacked(p: int) -> Matrix:
 
 
 def _composed_degree(p: int, n_cols: int) -> int:
-    d = max(1, int(np.ceil(np.log(n_cols / p) / np.log(p))))
-    while p ** (d + 1) < n_cols:  # guard against float fuzz in the ceil
+    """max(1, ceil(ln(N/p) / ln p)): the smallest d >= 1 with p^(d+1) >= N,
+    in exact integers."""
+    d, family = 1, p * p
+    while family < n_cols:
         d += 1
+        family *= p
     return d
 
 
@@ -208,6 +211,8 @@ def composed(s: int, n_cols: int, p_override: int | None = None) -> Matrix:
     """
     if s < 1 or n_cols < 1:
         raise InvalidParams("need s >= 1 and N >= 1")
+    if n_cols > _MAX_ENTRIES:  # before ln N turns the integer into a float
+        raise InvalidParams(f"N={n_cols} columns are more than numpy can address")
     if p_override is None:
         bound = 9 * s * s * int(np.ceil(np.log(n_cols) ** 2))
         try:

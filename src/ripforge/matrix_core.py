@@ -5,12 +5,21 @@ Matrices are immutable after construction and carry a provenance record
 exchange format is line-oriented text with 17-significant-digit decimals,
 so double-precision entries round-trip bit-exactly and files stay
 diffable across implementations.
+
+CMX I/O runs in memory bounded apart from the matrix itself.  write_cmx
+goes out in blocks of rows and formats each distinct bit pattern of a
+block once, so the explicit constructions, whose entries repeat a few
+roots of unity, cost about their distinct values.  read_cmx streams the
+file twice, checking the header and the line and entry counts before it
+allocates the matrix and then parsing one line at a time, and never holds
+the whole text.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -18,6 +27,8 @@ from .errors import DimensionMismatch, NonFiniteEntry, ParseError
 
 CMX_MAGIC = "#cmx 1"
 GRAM_STRIP_BYTES = 32 << 20  # largest Gram strip gram_strips holds at once
+CMX_BLOCK_PARTS = 1 << 16    # float64 parts write_cmx formats per block of rows
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b" :")
 
 
 @dataclass(frozen=True)
@@ -86,26 +97,50 @@ def gram_strips(X):
         yield i, arr[:, i:i + height].conj().T @ arr
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_cmx(A: Matrix, path) -> None:
-    """Serialize a Matrix to the CMX v1 text format."""
+    """Serialize a Matrix to the CMX v1 text format.
+
+    Rows go out in blocks of about CMX_BLOCK_PARTS float64 parts, a real
+    and an imaginary part counting separately.  Every entry reads exactly
+    as format(x, ".17g") of each part would give it.
+    """
     arr = A.data
     complex_field = np.iscomplexobj(arr)
+    parts = arr.view(np.float64)  # complex rows read re, im, re, im, ...
+    width = parts.shape[1]
+    seps = np.full(width, " ", dtype=object)  # the text after each part of a row
+    if complex_field:
+        seps[0::2] = ":"
+    seps[-1] = "\n"
+    height = max(1, CMX_BLOCK_PARTS // width)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{CMX_MAGIC}\n")
         fh.write(f"field {'complex' if complex_field else 'real'}\n")
         fh.write(f"rows {arr.shape[0]}\n")
         fh.write(f"cols {arr.shape[1]}\n")
         fh.write("meta " + json.dumps(A.meta, sort_keys=True, separators=(",", ":")) + "\n")
-        for row in arr:
-            if complex_field:
-                fh.write(" ".join(f"{_fmt(z.real)}:{_fmt(z.imag)}" for z in row))
-            else:
-                fh.write(" ".join(_fmt(v) for v in row))
-            fh.write("\n")
+        for i in range(0, parts.shape[0], height):
+            fh.write(_block_text(parts[i:i + height], seps))
+
+
+def _block_text(block: np.ndarray, seps: np.ndarray) -> str:
+    """The CMX text of a block of rows of float64 parts: each distinct bit
+    pattern (so -0.0 apart from 0.0) is formatted once, and one join runs over
+    the shared tokens and seps, the text after each part of a row."""
+    bits, index = np.unique(block.view(np.uint64), return_inverse=True)
+    tokens = np.array([format(x, ".17g") for x in bits.view(np.float64).tolist()],
+                      dtype=object)
+    text = np.empty((block.shape[0], 2 * block.shape[1]), dtype=object)
+    text[:, 0::2] = tokens[index.reshape(block.shape)]
+    del bits, index, tokens  # before the list and the string, which are larger
+    text[:, 1::2] = seps
+    return "".join(text.ravel().tolist())
+
+
+def _logical_lines(fh):
+    """The lines of an open text file exactly as str.splitlines() of its whole
+    text gives them, one physical line at a time."""
+    return chain.from_iterable(map(str.splitlines, fh))
 
 
 def _parse_header_line(lines, idx: int, key: str) -> str:
@@ -117,14 +152,8 @@ def _parse_header_line(lines, idx: int, key: str) -> str:
     return line[len(key) + 1:]
 
 
-def read_cmx(path) -> Matrix:
-    """Parse a CMX v1 file back into a Matrix; inverse of write_cmx."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as e:
-        raise ParseError(f"not UTF-8 text: {e}") from e
-
+def _parse_header(lines) -> tuple[bool, int, int, dict]:
+    """(complex field, rows, cols, meta) from the first five lines."""
     if not lines or lines[0] != CMX_MAGIC:
         raise ParseError(f"bad magic, expected {CMX_MAGIC!r}", lineno=1)
     field_name = _parse_header_line(lines, 1, "field")
@@ -143,35 +172,62 @@ def read_cmx(path) -> Matrix:
         raise ParseError(f"meta is not valid JSON: {e}", lineno=5) from e
     if not isinstance(meta, dict):
         raise ParseError("meta must be a JSON object", lineno=5)
+    return field_name == "complex", rows, cols, meta
 
-    data_lines = lines[5:]
-    while data_lines and data_lines[-1] == "":
-        data_lines.pop()
-    if len(data_lines) != rows:
-        raise ParseError(f"expected {rows} data lines, found {len(data_lines)}",
-                         lineno=5 + len(data_lines))
 
-    for i, line in enumerate(data_lines):  # before allocating rows x cols
-        if line.count(" ") != cols - 1:
-            raise ParseError(f"expected {cols} entries, found {line.count(' ') + 1}",
-                             lineno=6 + i)
+def _scan(fh) -> tuple[bool, int, int, dict]:
+    """First pass: decode the whole file, check the header, the number of data
+    lines (trailing empty lines ignored) and the entries per data line."""
+    lines = _logical_lines(fh)
+    try:
+        complex_field, rows, cols, meta = _parse_header(list(islice(lines, 5)))
+    except ParseError:
+        for _ in lines:  # a file that is not UTF-8 reports that first
+            pass
+        raise
+    seen = last = 0  # data lines read, and up to the last non-empty one
+    bad = None       # (data line, entries) of the first with a wrong count
+    for line in lines:
+        seen += 1
+        if line:
+            last = seen
+        if bad is None and line.count(" ") != cols - 1:
+            bad = seen, line.count(" ") + 1
+    if last != rows:
+        raise ParseError(f"expected {rows} data lines, found {last}", lineno=5 + last)
+    if bad is not None and bad[0] <= last:
+        raise ParseError(f"expected {cols} entries, found {bad[1]}", lineno=5 + bad[0])
+    return complex_field, rows, cols, meta
 
-    complex_field = field_name == "complex"
-    out = np.empty((rows, cols), dtype=np.complex128 if complex_field else np.float64)
-    for i, line in enumerate(data_lines):
-        tokens = line.split(" ")
-        try:
-            if complex_field:
-                for j, tok in enumerate(tokens):
-                    re, _, im = tok.partition(":")
-                    if not _:
-                        raise ValueError(f"complex entry {tok!r} lacks ':'")
-                    out[i, j] = complex(float(re), float(im))
-            else:
-                for j, tok in enumerate(tokens):
-                    if ":" in tok:
-                        raise ValueError(f"complex entry {tok!r} in a real matrix")
-                    out[i, j] = float(tok)
-        except ValueError as e:
-            raise ParseError(str(e), lineno=6 + i) from e
+
+def read_cmx(path) -> Matrix:
+    """Parse a CMX v1 file back into a Matrix; inverse of write_cmx.
+
+    Two streaming passes over the file: _scan checks the header and the line
+    and entry counts before rows x cols is allocated, then each data line is
+    parsed with Python's float into its row.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            complex_field, rows, cols, meta = _scan(fh)
+            fh.seek(0)
+            out = np.empty((rows, cols), dtype=np.complex128 if complex_field else np.float64)
+            parts = out.view(np.float64)
+            pairs = b": " * (cols - 1) + b":"  # the separators of a complex line
+            for i, line in enumerate(islice(_logical_lines(fh), 5, 5 + rows)):
+                try:
+                    if complex_field:
+                        # strict UTF-8 text always encodes; the bytes ' ' and ':' are
+                        # only ever those characters
+                        if line.encode().translate(None, _NOT_SEPARATOR) != pairs:
+                            raise ValueError("complex entries must be re:im pairs "
+                                             "separated by single spaces")
+                        line = line.replace(":", " ")
+                    elif ":" in line:
+                        raise ValueError("complex entry in a real matrix")
+                    parts[i] = list(map(float, line.split(" ")))
+                except ValueError as e:
+                    raise ParseError(str(e), lineno=6 + i) from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e}") from e
     return Matrix(out, meta=meta)

@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from ripforge.designs import delta_closed_form
+from ripforge.errors import ParseError
+from ripforge.matrix_core import CMX_MAGIC, Matrix
 
 
 def _poly_value(p: int, d: int, i: int, k: int) -> int:
@@ -34,6 +38,97 @@ def _dense_defect(ps, k: int) -> float:
             - delta_closed_form(ps.dim, k, ps.field_name))
 
 
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _write_cmx_per_entry(A: Matrix, path) -> None:
+    """CMX writer that formats every entry on its own."""
+    arr = A.data
+    complex_field = np.iscomplexobj(arr)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{CMX_MAGIC}\n")
+        fh.write(f"field {'complex' if complex_field else 'real'}\n")
+        fh.write(f"rows {arr.shape[0]}\n")
+        fh.write(f"cols {arr.shape[1]}\n")
+        fh.write("meta " + json.dumps(A.meta, sort_keys=True, separators=(",", ":")) + "\n")
+        for row in arr:
+            if complex_field:
+                fh.write(" ".join(f"{_fmt(z.real)}:{_fmt(z.imag)}" for z in row))
+            else:
+                fh.write(" ".join(_fmt(v) for v in row))
+            fh.write("\n")
+
+
+def _parse_header_line(lines, idx: int, key: str) -> str:
+    if idx >= len(lines):
+        raise ParseError(f"missing '{key}' header", lineno=idx + 1)
+    line = lines[idx]
+    if not line.startswith(key + " "):
+        raise ParseError(f"expected '{key} ...', got {line!r}", lineno=idx + 1)
+    return line[len(key) + 1:]
+
+
+def _read_cmx_whole_text(path) -> Matrix:
+    """CMX reader over the whole text and its splitlines(), one entry at a time."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e}") from e
+
+    if not lines or lines[0] != CMX_MAGIC:
+        raise ParseError(f"bad magic, expected {CMX_MAGIC!r}", lineno=1)
+    field_name = _parse_header_line(lines, 1, "field")
+    if field_name not in ("real", "complex"):
+        raise ParseError(f"unknown field {field_name!r}", lineno=2)
+    try:
+        rows = int(_parse_header_line(lines, 2, "rows"))
+        cols = int(_parse_header_line(lines, 3, "cols"))
+    except ValueError as e:
+        raise ParseError(str(e), lineno=3) from e
+    if rows < 1 or cols < 1:
+        raise ParseError("rows and cols must be positive", lineno=3)
+    try:
+        meta = json.loads(_parse_header_line(lines, 4, "meta"))
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"meta is not valid JSON: {e}", lineno=5) from e
+    if not isinstance(meta, dict):
+        raise ParseError("meta must be a JSON object", lineno=5)
+
+    data_lines = lines[5:]
+    while data_lines and data_lines[-1] == "":
+        data_lines.pop()
+    if len(data_lines) != rows:
+        raise ParseError(f"expected {rows} data lines, found {len(data_lines)}",
+                         lineno=5 + len(data_lines))
+
+    for i, line in enumerate(data_lines):  # before allocating rows x cols
+        if line.count(" ") != cols - 1:
+            raise ParseError(f"expected {cols} entries, found {line.count(' ') + 1}",
+                             lineno=6 + i)
+
+    complex_field = field_name == "complex"
+    out = np.empty((rows, cols), dtype=np.complex128 if complex_field else np.float64)
+    for i, line in enumerate(data_lines):
+        tokens = line.split(" ")
+        try:
+            if complex_field:
+                for j, tok in enumerate(tokens):
+                    re, _, im = tok.partition(":")
+                    if not _:
+                        raise ValueError(f"complex entry {tok!r} lacks ':'")
+                    out[i, j] = complex(float(re), float(im))
+            else:
+                for j, tok in enumerate(tokens):
+                    if ":" in tok:
+                        raise ValueError(f"complex entry {tok!r} in a real matrix")
+                    out[i, j] = float(tok)
+        except ValueError as e:
+            raise ParseError(str(e), lineno=6 + i) from e
+    return Matrix(out, meta=meta)
+
+
 @pytest.fixture
 def poly_value():
     """Scalar oracle for the polynomial enumeration of the Weil/DeVore families."""
@@ -50,6 +145,27 @@ def dense_max_pair():
 def dense_defect():
     """Dense referee for the Gram-strip sum behind design_defect."""
     return _dense_defect
+
+
+@pytest.fixture
+def cmx_writer_referee():
+    """Per-entry referee for the blocked write_cmx."""
+    return _write_cmx_per_entry
+
+
+@pytest.fixture(scope="session")
+def cmx_reader_referee():
+    """Whole-text, per-entry referee for the streaming read_cmx."""
+    return _read_cmx_whole_text
+
+
+@pytest.fixture(params=["default", "tiny"])
+def cmx_block(request, monkeypatch):
+    """Run once with the shipped CMX_BLOCK_PARTS and once with blocks of a
+    few parts, so every test matrix spans many blocks, mostly of one row."""
+    if request.param == "tiny":
+        monkeypatch.setattr("ripforge.matrix_core.CMX_BLOCK_PARTS", 6)
+    return request.param
 
 
 @pytest.fixture(params=["default", "tiny"])

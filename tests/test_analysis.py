@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ripforge.analysis import (embedding_ratios, holder_floor, l2_identity,
-                               l4_identity)
+                               l4_identity, quadruple_tensor)
 from ripforge.constructors import golomb_phase
 from ripforge.errors import (DimensionMismatch, NotUnimodular, TooManyColumns,
                              ZeroVector)
@@ -89,11 +89,26 @@ def test_quadruple_sums_match_loop_oracle():
     B = random_unimodular(rng, 4, 4)
     x = random_x(rng, 4)
     s1_oracle, s2_oracle = quadruple_sums_loop_oracle(B, x)
-    rep = l4_identity(B, x)
-    assert abs(rep.sigma1 - s1_oracle) <= 1e-10
-    assert abs(rep.sigma2 - s2_oracle) <= 1e-10
-    # the split form ties the two sums together through the squared-pair term
-    assert rep.formula_value == pytest.approx(rep.formula_value_split, abs=1e-9)
+    for rep in (l4_identity(B, x), l4_identity(B, x, quadruple_tensor(B))):
+        assert abs(rep.sigma1 - s1_oracle) <= 1e-10
+        assert abs(rep.sigma2 - s2_oracle) <= 1e-10
+        # the split form ties the two sums together through the squared-pair term
+        assert rep.formula_value == pytest.approx(rep.formula_value_split, abs=1e-9)
+
+
+def test_hoisted_tensor_agrees_with_oracle():
+    # golomb(19) spans several row blocks of the tensor; golomb(5) is the block
+    # of golomb_stacked(5) that l4_identity accepts (the stack is not unimodular)
+    rng = np.random.default_rng(6)
+    for B in (golomb_phase(19), golomb_phase(5)):
+        tensor = quadruple_tensor(B)
+        for _ in range(8):
+            x = random_x(rng, B.cols)
+            oracle, hoisted = l4_identity(B, x), l4_identity(B, x, tensor)
+            scale = 1e-12 * oracle.direct_value
+            assert abs(hoisted.abs_gap - oracle.abs_gap) <= scale
+            assert abs(hoisted.abs_gap_split - oracle.abs_gap_split) <= scale
+            assert hoisted.abs_gap <= 1e-8 and hoisted.abs_gap_split <= 1e-8
 
 
 def test_identity_preconditions():
@@ -104,6 +119,12 @@ def test_identity_preconditions():
     rng = np.random.default_rng(4)
     with pytest.raises(TooManyColumns):
         l4_identity(random_unimodular(rng, 2, 33), np.ones(33))
+    with pytest.raises(TooManyColumns):
+        quadruple_tensor(random_unimodular(rng, 2, 33))
+    with pytest.raises(NotUnimodular):
+        quadruple_tensor(np.array([[0.5]]))
+    with pytest.raises(DimensionMismatch):  # a tensor built for another width
+        l4_identity(np.ones((2, 3)), np.ones(3), quadruple_tensor(np.ones((2, 2))))
     with pytest.raises(DimensionMismatch):
         l2_identity(np.ones((2, 2)), np.ones(3))
 

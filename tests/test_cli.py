@@ -87,7 +87,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                    ["weil", "--p", "2147483647", "--d", "2147483646"],
                    ["golomb", "--p", "2147483647"],         # int64 phases overflow
                    ["golomb-stacked", "--p", "2147483647"],
-                   ["composed", "--s", "1", "--N", "10", "--p", "2147483647"]):
+                   ["composed", "--s", "1", "--N", "10", "--p", "2147483647"],
+                   ["composed", "--s", "1", "--N", "1" + "0" * 400, "--p", "3"],
+                   ["composed", "--s", "1", "--N", "1" + "0" * 400]):
         assert run(["construct", *family, "-o", str(tmp_path / "w.cmx")]) == 2
     for kappa in ("nan", "inf"):       # a non-finite threshold certifies nothing
         assert run(["construct", "lasvegas", "--m", "64", "--N", "16", "--kappa", kappa,

@@ -252,6 +252,12 @@ def test_composed_degree_clamped_when_n_small():
     assert mat.meta["d"] == 1 and mat.meta["d_clamped"] is True
 
 
+def test_composed_degree_is_exact_at_powers_of_p():
+    # ceil(ln(N/p) / ln p) at N = p^(d+1) is d; a float log rounded it up
+    for p, n, d in ((5, 625, 3), (5, 626, 4), (3, 9, 1), (3, 10, 2)):
+        assert composed(1, n, p_override=p).meta["d"] == d, (p, n)
+
+
 def test_composed_infeasible_chain_names_the_range():
     with pytest.raises(InvalidParams, match=r"p_override"):
         composed(1, 20)

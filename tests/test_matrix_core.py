@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ripforge import matrix_core
-from ripforge.constructors import golomb_phase, weil
+from ripforge.certify import las_vegas
+from ripforge.constructors import (alltop, composed, devore, golomb_phase, golomb_stacked,
+                                   rademacher, weil)
 from ripforge.errors import DimensionMismatch, NonFiniteEntry, ParseError, RipforgeError
 from ripforge.matrix_core import Matrix, gram_strips, matvec, norm, read_cmx, write_cmx
 
@@ -162,16 +164,99 @@ _CMX_TEXT = st.builds(
 ).map(lambda text: text.encode("utf-8"))
 
 
+def _read_outcome(read, path):
+    """What a reader makes of a file: the matrix bits and meta, or the error
+    type and line number."""
+    try:
+        mat = read(path)
+    except RipforgeError as e:
+        return type(e), getattr(e, "lineno", None)
+    return mat.field_name, mat.data.shape, mat.data.tobytes(), mat.meta
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(st.binary(max_size=120), st.binary(max_size=40).map(_HEADER.__add__),
                  _CMX_TEXT))
-def test_read_cmx_parses_or_raises_ripforge_error(tmp_path_factory, raw):
+def test_read_cmx_parses_or_raises_ripforge_error(tmp_path_factory, cmx_reader_referee, raw):
     path = tmp_path_factory.mktemp("fuzz") / "f.cmx"
     path.write_bytes(raw)
-    try:
-        read_cmx(path)
-    except RipforgeError:
-        pass
+    assert _read_outcome(read_cmx, path) == _read_outcome(cmx_reader_referee, path)
+
+
+# every line boundary that str.splitlines() knows
+_TERMINATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                "\u2028", "\u2029"]
+_FLOAT_TOKEN = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: format(x, ".17g"))
+_ODD_TOKEN = st.sampled_from(["1:2:3", "1:", ":", "", "nan", "1e400", "0x1", "1_0", "\t1", "1\xa0",
+                              "-0", "1\x0c", "2\u20283", "1\r2", "1:2\x85"])
+
+
+@st.composite
+def _near_valid_cmx(draw):
+    """A CMX text that is valid or one edit away, with mixed line terminators,
+    trailing blank lines and sometimes no final newline."""
+    complex_field = draw(st.booleans())
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    value = (st.tuples(_FLOAT_TOKEN, _FLOAT_TOKEN).map(":".join) if complex_field
+             else _FLOAT_TOKEN)
+    token = st.one_of(value, value, value, value, value, _ODD_TOKEN)
+    lines = ["#cmx 1", f"field {'complex' if complex_field else 'real'}", f"rows {rows}",
+             f"cols {cols}", "meta {}"]
+    lines += [" ".join(draw(st.lists(token, min_size=cols, max_size=cols)))
+              for _ in range(draw(st.sampled_from([rows, rows, rows, rows - 1, rows + 1])))]
+    lines += [""] * draw(st.integers(0, 2))
+    ends = draw(st.lists(st.one_of(st.just("\n"), st.sampled_from(_TERMINATORS)),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+
+
+_DATA_1x1 = b"#cmx 1\nfield real\nrows 1\ncols 1\nmeta {}\n"
+_DATA_1x2 = b"#cmx 1\nfield real\nrows 1\ncols 2\nmeta {}\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_near_valid_cmx())
+@example(_DATA_1x1 + b"1\n\n")                                     # trailing blank line
+@example(_DATA_1x2 + b"1\x0c 2\n")                                 # form feed splits the line
+@example(b"#cmx 1\nfield real\nrows 2\ncols 1\nmeta {}\n1\xe2\x80\xa82\n")  # U+2028 too
+@example(b"#cmx 1\nfield complex\nrows 1\ncols 2\nmeta {}\n1:2:3 4\n")
+@example(_DATA_1x2.replace(b"\n", b"\r\n") + b"1 2\r\n")          # CRLF
+@example(_DATA_1x2.replace(b"\n", b"\r") + b"1 2\r")                # lone CR
+@example(_DATA_1x2 + b"-0 5e-324")                                  # no final newline
+@example(b"#notcmx\n" + b"1\n" * 9000 + b"\xff\n")                    # not UTF-8 wins
+def test_read_cmx_agrees_with_whole_text_referee(tmp_path_factory, cmx_reader_referee, raw):
+    path = tmp_path_factory.mktemp("diff") / "f.cmx"
+    path.write_bytes(raw)
+    assert _read_outcome(read_cmx, path) == _read_outcome(cmx_reader_referee, path)
+
+
+def _writer_cases():
+    """The constructor gallery, and matrices built around formatting edge cases."""
+    yield from (golomb_phase(5), golomb_phase(23), golomb_stacked(5), weil(5, 2), weil(13, 2),
+                alltop(7), devore(5, 2), rademacher(9, 7, seed=1),
+                composed(1, 20, p_override=3), las_vegas(64, 8, seed=1)[0])
+    rng = np.random.default_rng(5)
+    tiny = 2.2250738585072014e-308
+    edge = np.array([0.0, -0.0, 5e-324, -5e-324, tiny, np.nextafter(tiny, 0.0),
+                     1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 0.1, 1 / 3,
+                     1e16, 1e17, np.finfo(np.float64).max, -1e-300])
+    real = rng.permutation(np.resize(edge, 60)).reshape(4, 15)
+    yield Matrix(real)
+    yield Matrix(real + 1j * rng.permutation(real.ravel()).reshape(real.shape))
+    width = matrix_core.CMX_BLOCK_PARTS // 2 + 3  # a complex row wider than one block
+    wide = rng.choice(edge, width) + 1j * rng.standard_normal(width)
+    yield Matrix(wide[None, :])
+    yield Matrix(np.vstack([wide.real, wide.real[::-1]]))
+
+
+def test_write_cmx_matches_per_entry_referee(tmp_path, cmx_block, cmx_writer_referee):
+    path, want = tmp_path / "blocked.cmx", tmp_path / "referee.cmx"
+    for mat in _writer_cases():
+        write_cmx(mat, path)
+        cmx_writer_referee(mat, want)
+        assert path.read_bytes() == want.read_bytes(), mat.meta or mat.data.shape
 
 
 def test_gram_strips_tile_the_gram(monkeypatch):
