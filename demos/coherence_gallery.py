@@ -2,8 +2,12 @@
 
 Coherence mu(A) is the largest inner product between distinct unit
 columns.  Small coherence certifies restricted isometry at quadratic
-measurement cost through delta_s < s mu, checked here exactly by
-enumerating all s x s column Gram blocks.
+measurement cost: mu <= delta_s <= (s - 1) mu for s >= 2, by interlacing
+and Gershgorin on the s x s blocks of the unit-column Gram with its
+diagonal removed.  delta_2 = mu exactly, since each 2 x 2 block has
+eigenvalues +-|g|; exact_ric takes delta_3 from the closed-form root of
+each block's characteristic cubic.  For orthogonal columns both mu and
+delta_s are float roundoff.
 """
 
 import numpy as np
@@ -38,4 +42,4 @@ print(" * alltop hits its bound exactly: every pair of distinct columns has")
 print("   inner product of modulus 1/sqrt(m) or 0.")
 print(" * weil/devore meet their bounds with equality on worst-case pairs;")
 print("   the bound follows from character sums (weil) or root counting (devore).")
-print(" * delta_2 always stays below 2 mu, the coherence route to the RIP.")
+print(" * delta_2 equals mu, and delta_s <= (s - 1) mu: the coherence route to the RIP.")

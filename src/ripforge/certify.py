@@ -244,22 +244,82 @@ def theorem1_bound(kappa: float, delta: float, s: int) -> Theorem1Bound:
                          distortion_bound=beta / alpha)
 
 
+def _hollow_gram(arr: np.ndarray) -> np.ndarray:
+    """H = A^H A over unit columns with its diagonal set to 0: the Gram-strip
+    entries that _max_pair reduces, divided by the same norms[j] * norms[l],
+    so every |H_jl| is within an ulp of the value coherence maximizes."""
+    norms = column_norms(arr)
+    n = arr.shape[1]
+    hollow = np.empty((n, n), dtype=np.result_type(arr.dtype, np.float64))
+    for i, strip in gram_strips(arr):
+        for k, row in enumerate(strip):
+            row /= norms[i + k] * norms
+        hollow[i:i + len(strip)] = strip
+    np.fill_diagonal(hollow, 0.0)
+    return hollow
+
+
+def _max_triple(hollow: np.ndarray) -> float:
+    """Largest spectral norm of a 3 x 3 principal block of a hollow Hermitian H.
+
+    The block of i < j < k, with off-diagonals a = H_ij, b = H_ik, c = H_jk,
+    has characteristic polynomial lambda^3 - p lambda - q, where
+    p = |a|^2 + |b|^2 + |c|^2 and q = 2 Re(a c conj(b)); its largest |lambda|
+    is 2 sqrt(p/3) cos(arccos(min(1, |q|/2 (3/p)^(3/2))) / 3), the min
+    absorbing roundoff past 1.  Each triple is scaled by t = max(|a|, |b|, |c|)
+    first, so p lies in [1, 3] and neither p nor q under- or overflows.
+    Triples run anchor by anchor: for anchor i, the pairs j < k with j > i
+    are a suffix of the lexicographic pair list.
+    """
+    n = hollow.shape[0]
+    rows, cols = np.triu_indices(n, 1)
+    pair_vals = hollow[rows, cols]
+    pair_abs = np.abs(pair_vals)
+    anchor_max = np.empty(n - 2)
+    for i in range(n - 2):
+        start = int(np.searchsorted(rows, i + 1))
+        j, k, c, c_abs = rows[start:], cols[start:], pair_vals[start:], pair_abs[start:]
+        row, row_abs = hollow[i], np.abs(hollow[i])
+        t = np.maximum(np.maximum(row_abs[j], row_abs[k]), c_abs)
+        scale = np.where(t > 0.0, t, 1.0)  # an all-zero block has lambda = 0
+        # p >= 1 exactly when t > 0, since one term is (t/t)^2; p = 1 keeps t = 0 finite
+        p = np.maximum((row_abs[j] / scale) ** 2 + (row_abs[k] / scale) ** 2
+                       + (c_abs / scale) ** 2, 1.0)
+        half_q = np.abs((row[j] / scale * (c / scale) * (row[k] / scale).conj()).real)
+        w = 3.0 / p
+        root_w = np.sqrt(w)
+        r = np.minimum(half_q * w * root_w, 1.0)
+        anchor_max[i] = (t * (2.0 * np.cos(np.arccos(r) / 3.0) / root_w)).max()
+    return float(anchor_max.max())  # a NaN would propagate here, not be skipped
+
+
 def exact_ric(A, s: int, max_subsets: int = 1_000_000) -> float:
     """Exhaustive restricted isometry constant delta_s over all s-subsets.
 
-    Columns are unit-normalized first; the result is the largest spectral
-    deviation |eig - 1| of any s x s column Gram block.  Strictly below
-    s * coherence(A) whenever s >= 2.
+    delta_s is the largest spectral norm ||H_S||_2 over s-subsets S, where H
+    is the Gram of the unit-normalized columns with its diagonal set to 0.
+    At s = 2 the block [[0, g], [conj(g), 0]] has eigenvalues +-|g|, so
+    delta_2 = coherence(A), bit for bit, from the same Gram-strip pass and
+    without the subset cap.  At s = 3 each block's norm is the largest root
+    of its characteristic cubic, in closed form.  Other s take batched
+    eigensolves of the blocks H_S; delta_1 = 0.
+
+    By interlacing and Gershgorin, mu <= delta_s <= (s - 1) mu for s >= 2,
+    with mu = coherence(A), up to a relative O(eps).  For exactly orthogonal
+    columns mu and delta_s are both float roundoff of the pair sums.
     """
     arr = as_array(A)
     n = arr.shape[1]
     if not 1 <= s <= n:
         raise InvalidParams(f"need 1 <= s <= {n}")
+    if s == 2:
+        return _max_pair(arr, column_norms(arr))[0]
     n_subsets = math.comb(n, s)
     if n_subsets > max_subsets:
         raise TooLarge(f"C({n},{s}) = {n_subsets} subsets exceeds the cap {max_subsets}")
-    unit = arr / column_norms(arr)
-    gram = unit.conj().T @ unit
+    hollow = _hollow_gram(arr)
+    if s == 3:
+        return _max_triple(hollow)
 
     worst = 0.0
     subset_iter = itertools.combinations(range(n), s)
@@ -269,9 +329,8 @@ def exact_ric(A, s: int, max_subsets: int = 1_000_000) -> float:
         if not block:
             break
         idx = np.array(block, dtype=np.int64)
-        grams = gram[idx[:, :, None], idx[:, None, :]]
-        eigs = np.linalg.eigvalsh(grams)
-        worst = max(worst, float(np.abs(eigs - 1.0).max()))
+        eigs = np.linalg.eigvalsh(hollow[idx[:, :, None], idx[:, None, :]])
+        worst = max(worst, float(np.abs(eigs).max()))
     return worst
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -29,6 +30,21 @@ def _dense_max_pair(arr: np.ndarray, unit: bool) -> tuple[float, tuple[int, int]
     np.fill_diagonal(gram, -1)
     j, l = np.unravel_index(int(np.argmax(gram)), gram.shape)
     return gram[j, l], (int(j), int(l))
+
+
+def _subset_ric(arr: np.ndarray, s: int, chunk: int = 20_000) -> float:
+    """max ||H_S||_2 over all s-subsets S, each block's norm from its SVD,
+    where H is the unit-column Gram from one dense product, diagonal 0."""
+    unit = arr / np.linalg.norm(arr, axis=0)
+    hollow = unit.conj().T @ unit
+    np.fill_diagonal(hollow, 0.0)
+    subsets = itertools.combinations(range(arr.shape[1]), s)
+    worst = 0.0
+    while block := list(itertools.islice(subsets, chunk)):
+        idx = np.array(block)
+        blocks = hollow[idx[:, :, None], idx[:, None, :]]
+        worst = max(worst, float(np.linalg.norm(blocks, 2, axis=(1, 2)).max()))
+    return worst
 
 
 def _dense_defect(ps, k: int) -> float:
@@ -139,6 +155,12 @@ def poly_value():
 def dense_max_pair():
     """Dense referee for the Gram-strip reducer behind coherence and condition (a)."""
     return _dense_max_pair
+
+
+@pytest.fixture
+def subset_ric():
+    """Per-subset SVD referee for exact_ric's strip, cubic and eigensolve paths."""
+    return _subset_ric
 
 
 @pytest.fixture

@@ -208,6 +208,77 @@ def test_exact_ric_below_s_times_coherence():
         assert exact_ric(mat, 3) < 3 * coherence(mat)
 
 
+REFEREE_SUBSETS = 350_000  # weil(5,2) at s = 3 has C(125,3) = 317 750
+
+
+def _gaussians():
+    rng = np.random.default_rng(17)
+    return [Matrix(rng.standard_normal((6, 14))),
+            Matrix(rng.standard_normal((5, 13)) + 1j * rng.standard_normal((5, 13)))]
+
+
+def test_exact_ric_matches_subset_referee(subset_ric):
+    cases = ([make(*args) for make, args in GALLERY]
+             + [rademacher(*draw) for draw in SIGN_DRAWS] + _gaussians())
+    for mat in cases:
+        mu = coherence(mat)
+        assert exact_ric(mat, 2) == mu  # delta_2 = mu, from the same strips
+        for s in range(1, 5):
+            if math.comb(mat.cols, s) > REFEREE_SUBSETS:
+                continue
+            delta = exact_ric(mat, s)
+            assert abs(delta - subset_ric(mat.data, s)) <= 1e-13, (mat.meta, s)
+            if s == 1:
+                assert delta == 0.0
+            elif mu >= 1e-8:  # below that, mu is roundoff of orthogonal columns
+                assert mu <= delta * (1 + 1e-12), (mat.meta, s)
+            assert delta <= (s - 1) * mu * (1 + 1e-12), (mat.meta, s)
+
+
+def test_exact_ric_hollow_gram_spans_strips(strip_budget, subset_ric):
+    for mat in _gaussians() + [weil(3, 2)]:  # several strips under the tiny budget
+        for s in (3, 4):
+            assert abs(exact_ric(mat, s) - subset_ric(mat.data, s)) <= 1e-13, (mat.meta, s)
+
+
+def test_exact_ric_cubic_is_gershgorin_tight_on_weil():
+    mat = weil(5, 2)
+    assert exact_ric(mat, 3) == pytest.approx(2 * coherence(mat), rel=1e-15)
+
+
+def test_exact_ric_within_coherence_bounds_on_orthogonal_columns(strip_budget):
+    """Golomb columns are exactly orthogonal, so mu and delta_s are roundoff;
+    the hollow Gram keeps delta_s within (s - 1) mu all the same."""
+    for mat in (golomb_phase(7), golomb_phase(13), golomb_phase(31), golomb_stacked(23)):
+        mu = coherence(mat)
+        for s in (2, 3, 4):
+            assert exact_ric(mat, s) <= (s - 1) * mu * (1 + 1e-12), (mat.meta, s)
+
+
+@pytest.mark.parametrize("t", [1e-160, 1e-200, 1e-300])
+def test_exact_ric_cubic_at_extreme_magnitudes(t):
+    # columns e1, e2 + t e1, e3 + t e2: H is a path with weights t, so
+    # delta_3 = sqrt(2) t, while p = 2 t^2 underflows unless scaled
+    mat = Matrix(np.array([[1.0, t, 0.0], [0.0, 1.0, t], [0.0, 0.0, 1.0]]))
+    mu, delta = coherence(mat), exact_ric(mat, 3)
+    assert math.isfinite(delta)
+    assert mu * (1 - 1e-12) <= delta <= 2 * mu * (1 + 1e-12)
+    assert delta == pytest.approx(math.sqrt(2) * t, rel=1e-14)
+
+
+def test_exact_ric_cubic_on_orthonormal_columns():
+    mat = Matrix(np.eye(5))
+    assert exact_ric(mat, 3) == 0.0 == coherence(mat)
+
+
+def test_exact_ric_at_two_has_no_subset_cap():
+    mat = rademacher(16, 1500, seed=8)  # C(1500,2) = 1 124 250 pairs
+    assert math.comb(1500, 2) > 1_000_000
+    assert exact_ric(mat, 2) == coherence(mat)
+    with pytest.raises(TooLarge):
+        exact_ric(mat, 3)
+
+
 def test_probe_l1_dense_on_golomb_phase():
     mat = golomb_phase(3)
     report = probe_l1(mat, 3, trials=500, seed=0)

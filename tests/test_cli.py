@@ -156,6 +156,8 @@ def test_verify_commands(tmp_path, capsys):
     code, report = run_json(capsys, ["verify", "identities", phase, "--seed", "1",
                                      "--trials", "4"])
     assert code == 0 and report["l4_checked"] is True
+    # each gap over the ||Bx||_2^2 or ||Bx||_4^4 it checks: float roundoff
+    assert 0.0 < report["max_rel_gap"] < 1e-12 and report["max_gap"] <= report["tolerance"]
 
     # l4 is quartic in the columns; wider matrices are refused, not skipped
     wide = str(tmp_path / "g37.cmx")
@@ -172,6 +174,20 @@ def test_verify_commands(tmp_path, capsys):
     capsys.readouterr()
     code, report = run_json(capsys, ["verify", "embedding", bad, "--seed", "2"])
     assert code == 1 and report["pass"] is False
+
+
+def test_certify_ric_within_its_coherence_bound(tmp_path, capsys):
+    # golomb columns are exactly orthogonal: mu and delta_s are both roundoff
+    path = str(tmp_path / "g.cmx")
+    assert run(["construct", "golomb", "--p", "7", "-o", path]) == 0
+    capsys.readouterr()
+    code, report = run_json(capsys, ["certify", "ric", path, "--s", "2"])
+    assert code == 0
+    assert report["delta_s"] == report["coherence"] <= report["s_mu_bound"]
+    code, report = run_json(capsys, ["certify", "ric", path, "--s", "3"])
+    assert code == 0
+    assert report["delta_s"] <= 2 * report["coherence"] * (1 + 1e-12)
+    assert report["delta_s"] <= report["s_mu_bound"]
 
 
 def test_composed_without_override_exits_2(capsys):
