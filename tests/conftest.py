@@ -32,7 +32,10 @@ def _dense_max_pair(arr: np.ndarray, unit: bool) -> tuple[float, tuple[int, int]
     return gram[j, l], (int(j), int(l))
 
 
-def _subset_ric(arr: np.ndarray, s: int, chunk: int = 20_000) -> float:
+SUBSET_RIC_CHUNK = 20_000  # subsets gathered per batched SVD
+
+
+def _subset_ric(arr: np.ndarray, s: int) -> float:
     """max ||H_S||_2 over all s-subsets S, each block's norm from its SVD,
     where H is the unit-column Gram from one dense product, diagonal 0."""
     unit = arr / np.linalg.norm(arr, axis=0)
@@ -40,7 +43,7 @@ def _subset_ric(arr: np.ndarray, s: int, chunk: int = 20_000) -> float:
     np.fill_diagonal(hollow, 0.0)
     subsets = itertools.combinations(range(arr.shape[1]), s)
     worst = 0.0
-    while block := list(itertools.islice(subsets, chunk)):
+    while block := list(itertools.islice(subsets, SUBSET_RIC_CHUNK)):
         idx = np.array(block)
         blocks = hollow[idx[:, :, None], idx[:, None, :]]
         worst = max(worst, float(np.linalg.norm(blocks, 2, axis=(1, 2)).max()))
