@@ -16,12 +16,16 @@ alpha m and beta m, alpha = ((1-delta)^3 / (3(1+delta)))^(1/2) and
 beta = (1+delta)^(1/2), hence distortion beta/alpha <= sqrt(3)
 ((1+delta)/(1-delta))^(3/2).
 
-The pair/quadruple sums of +-1 entries are integers below 2^53, so the
-float64 BLAS products used here are exact and the checks carry no
-tolerance.  Quadruple sums are invariant under permuting {k, k', l, l'},
-so each 4-subset a < b < c < d is scanned exactly once, as the inner
-product of the pair-product columns A_a o A_b and A_c o A_d: C(N,4) m
-multiply-adds in all.  The maximum over ordered quadruples is unchanged.
+The pair/quadruple sums of +-1 entries, and every partial sum of them
+under any summation order or FMA, are integers of magnitude at most m.
+So the float64 Gram strips give exact pair sums (m < 2^53), the quadruple
+scan is exact in float32, which it uses while m <= 2^24
+(matrix_core.FLOAT32_SIGN_ROWS), and in float64 above, and the checks
+carry no tolerance.  Quadruple sums are invariant under permuting
+{k, k', l, l'}, so each 4-subset a < b < c < d is scanned exactly once,
+as the inner product of the pair-product columns A_a o A_b and A_c o A_d:
+C(N,4) m multiply-adds in all.  The maximum over ordered quadruples is
+unchanged.
 """
 
 from __future__ import annotations
@@ -33,12 +37,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import matrix_core
 from .constructors import rademacher
 from .errors import (InvalidDelta, InvalidParams, NotSignMatrix, RoundsExhausted,
                      TooLarge, ZeroColumn)
 from .matrix_core import Matrix, as_array, gram_strips
 
 SUBSEED_DERIVATION = "numpy SeedSequence((seed, round)), first uint64 word"
+PROBE_SAMPLER = 2  # version of probe_l1's seed -> sample mapping
 
 
 class ConditionCheck(NamedTuple):
@@ -86,6 +92,7 @@ class ProbeReport:
     min_ratio: float
     max_ratio: float
     empirical_distortion: float
+    sampler: int
 
 
 def column_norms(A) -> np.ndarray:
@@ -157,9 +164,10 @@ def condition_b(A, kappa: float) -> ConditionCheck:
     Vacuous for N < 4.  Each 4-subset a < b < c < d enters exactly one
     product: for each b, the columns A_a o A_b (a < b) against the
     pair-product columns A_c o A_d with c > b, which in lexicographic pair
-    order form one contiguous suffix.  That is C(N,4) m multiply-adds.
-    The witness is the lexicographically smallest sorted 4-subset that
-    attains the maximum.
+    order form one contiguous block of rows of the pair products.  That is
+    C(N,4) m multiply-adds, in float32 when m <= FLOAT32_SIGN_ROWS (exact,
+    see the module docstring) and in float64 otherwise.  The witness is the
+    lexicographically smallest sorted 4-subset that attains the maximum.
     """
     arr = _sign_entries(A)
     m, n = arr.shape
@@ -167,14 +175,18 @@ def condition_b(A, kappa: float) -> ConditionCheck:
     if n < 4:
         return ConditionCheck(True, 0, None, threshold)
 
+    dtype = np.float32 if m <= matrix_core.FLOAT32_SIGN_ROWS else np.float64
+    columns = np.ascontiguousarray(arr.T, dtype=dtype)      # row k: column k of A
     rows, cols = np.triu_indices(n, 1)                      # lexicographic pairs
-    prods = arr[:, rows]                                    # (m, C(n,2))
-    prods *= arr[:, cols]
+    prods = np.empty((len(rows), m), dtype=dtype)           # row p: A_rows[p] o A_cols[p]
+    for a in range(n - 1):
+        start = int(np.searchsorted(rows, a))
+        np.multiply(columns[a + 1:], columns[a], out=prods[start:start + n - 1 - a])
     best_val = -1.0
     best: tuple[int, ...] | None = None
     for b in range(1, n - 2):
         start = int(np.searchsorted(rows, b + 1))
-        vals = np.abs((arr[:, :b] * arr[:, b:b + 1]).T @ prods[:, start:])  # exact
+        vals = np.abs((columns[:b] * columns[b]) @ prods[start:].T)  # exact integers
         a, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
         val = float(vals[a, j])
         cand = (int(a), b, int(rows[start + j]), int(cols[start + j]))
@@ -301,8 +313,9 @@ def exact_ric(A, s: int, max_subsets: int = 1_000_000) -> float:
     At s = 2 the block [[0, g], [conj(g), 0]] has eigenvalues +-|g|, so
     delta_2 = coherence(A), bit for bit, from the same Gram-strip pass and
     without the subset cap.  At s = 3 each block's norm is the largest root
-    of its characteristic cubic, in closed form.  Other s take batched
-    eigensolves of the blocks H_S; delta_1 = 0.
+    of its characteristic cubic, in closed form.  s >= 4 takes batched
+    eigensolves of the blocks H_S.  delta_1 = 0, since each 1 x 1 block of H
+    is 0, and needs no Gram at all.
 
     By interlacing and Gershgorin, mu <= delta_s <= (s - 1) mu for s >= 2,
     with mu = coherence(A), up to a relative O(eps).  For exactly orthogonal
@@ -312,6 +325,9 @@ def exact_ric(A, s: int, max_subsets: int = 1_000_000) -> float:
     n = arr.shape[1]
     if not 1 <= s <= n:
         raise InvalidParams(f"need 1 <= s <= {n}")
+    if s == 1:
+        column_norms(arr)  # a zero column has no unit direction
+        return 0.0
     if s == 2:
         return _max_pair(arr, column_norms(arr))[0]
     n_subsets = math.comb(n, s)
@@ -334,12 +350,32 @@ def exact_ric(A, s: int, max_subsets: int = 1_000_000) -> float:
     return worst
 
 
+def _sparse_trials(rng: np.random.Generator, n: int, s: int, b: int,
+                   complex_field: bool) -> np.ndarray:
+    """b random s-sparse vectors as the columns of an (n, b) array.
+
+    Each support is the positions of the s smallest of n uniforms, one row
+    of a (b, n) draw, so it is a uniform s-subset; the nonzeros are one
+    (b, s) draw of standard (real or circular complex) Gaussians.
+    """
+    support = np.argpartition(rng.random((b, n)), s - 1, axis=1)[:, :s]
+    if complex_field:
+        vals = (rng.standard_normal((b, s)) + 1j * rng.standard_normal((b, s))) / math.sqrt(2)
+    else:
+        vals = rng.standard_normal((b, s))
+    X = np.zeros((n, b), dtype=vals.dtype)
+    X[support, np.arange(b)[:, None]] = vals
+    return X
+
+
 def probe_l1(A, s: int, trials: int, seed: int) -> ProbeReport:
     """Sample s-sparse vectors and report the spread of ||Ax||_1 / ||x||_2.
 
     Supports are uniform s-subsets, nonzeros are standard (real or
     circular complex) Gaussians.  The reported spread can only
-    underestimate the true distortion, never certify it.
+    underestimate the true distortion, never certify it.  Trials are drawn
+    in blocks of 2048 by _sparse_trials; that seed -> sample mapping is
+    sampler version PROBE_SAMPLER, recorded in the report.
     """
     arr = as_array(A)
     n = arr.shape[1]
@@ -350,25 +386,19 @@ def probe_l1(A, s: int, trials: int, seed: int) -> ProbeReport:
     column_norms(arr)  # a zero column gives a zero ratio at s = 1
     rng = np.random.default_rng(seed)
     complex_field = np.iscomplexobj(arr)
-    dtype = np.complex128 if complex_field else np.float64
 
     lo, hi = math.inf, -math.inf
     block_size = 2048
     for start in range(0, trials, block_size):
-        b = min(block_size, trials - start)
-        X = np.zeros((n, b), dtype=dtype)
-        for i in range(b):
-            support = rng.choice(n, size=s, replace=False)
-            if complex_field:
-                vals = (rng.standard_normal(s) + 1j * rng.standard_normal(s)) / math.sqrt(2)
-            else:
-                vals = rng.standard_normal(s)
-            X[support, i] = vals
-        ratios = np.abs(arr @ X).sum(axis=0) / np.linalg.norm(X, axis=0)
+        X = _sparse_trials(rng, n, s, min(block_size, trials - start), complex_field)
+        Y = arr @ X
+        l1 = (np.abs(Y) if complex_field else np.abs(Y, out=Y)).sum(axis=0)  # real: in place
+        del Y  # or the next block's product is allocated while this one is alive
+        ratios = l1 / np.linalg.norm(X, axis=0)
         lo = min(lo, float(ratios.min()))
         hi = max(hi, float(ratios.max()))
     return ProbeReport(trials=trials, min_ratio=lo, max_ratio=hi,
-                       empirical_distortion=hi / lo)
+                       empirical_distortion=hi / lo, sampler=PROBE_SAMPLER)
 
 
 def certify_sign_matrix(A, kappa: float | None = None, delta: float | None = None,

@@ -326,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "the largest spectral norm of an s x s block of the unit-column "
                         "Gram with its diagonal removed, over all s-subsets: delta_2 is "
                         "the coherence mu, delta_3 the largest root of each block's "
-                        "characteristic cubic, and other s batched eigensolves.  "
+                        "characteristic cubic, delta_1 = 0, and s >= 4 batched "
+                        "eigensolves.  "
                         "mu <= delta_s <= (s-1) mu for s >= 2 (interlacing and "
                         "Gershgorin); for orthogonal columns both are float roundoff.")
     c.add_argument("file")
@@ -335,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pro = sub.add_parser("probe", help="sample l1/l2 ratios on sparse vectors",
                          description="Sample s-sparse vectors and report the spread of "
-                         "||Ax||_1 / ||x||_2 (a lower bound on the true distortion).")
+                         "||Ax||_1 / ||x||_2 (a lower bound on the true distortion).  "
+                         "The report's 'sampler' names the version of the seed -> sample "
+                         "mapping; a seed reproduces its samples only within one version.")
     pro.add_argument("file")
     pro.add_argument("--s", type=int, required=True)
     pro.add_argument("--trials", type=int, required=True)

@@ -34,8 +34,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (EpsilonOutOfRange, InvalidParams, InvalidPointSet, ParseError,
-                     RipforgeError, TooLarge, UnsupportedK, ZeroRow)
+from .errors import (InvalidParams, InvalidPointSet, ParseError, RipforgeError, TooLarge,
+                     UnsupportedK, ZeroRow)
 from .matrix_core import Matrix, as_array, gram_strips, read_cmx, write_cmx
 
 UNIT_TOL = 1e-12
@@ -211,30 +211,6 @@ def matrix_to_design(A, k: int) -> tuple[WeightedPointSet, float]:
     powers = norms ** (2 * k)
     total = float(powers.sum())
     return WeightedPointSet(points, powers / total), total
-
-
-def epsilon_chain(direction: str, input_eps: float, n: int | None = None,
-                  k: int | None = None, field: str | None = None) -> float:
-    """Convert between embedding error (1), design defect (2), tensor
-    deviation (3).
-
-    "2to3": eps3 = sqrt(eps2); "3to1": eps1 = eps3 / delta_{n,2k};
-    "1to2": eps2 = 4 eps1 delta_{n,2k}, valid only for eps1 <= 1/2.
-    """
-    if input_eps < 0.0:
-        raise InvalidParams("epsilon must be nonnegative")
-    if direction == "2to3":
-        return math.sqrt(input_eps)
-    if direction in ("3to1", "1to2"):
-        if n is None or k is None or field is None:
-            raise InvalidParams(f"direction {direction!r} needs n, k and field")
-        delta = delta_closed_form(n, k, field)
-        if direction == "3to1":
-            return input_eps / delta
-        if input_eps > 0.5:
-            raise EpsilonOutOfRange("the 1 -> 2 conversion requires eps1 <= 1/2")
-        return 4.0 * input_eps * delta
-    raise InvalidParams(f"unknown direction {direction!r}")
 
 
 def write_design(ps: WeightedPointSet, path, extra_meta: dict | None = None) -> None:

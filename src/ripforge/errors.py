@@ -96,7 +96,3 @@ class UnsupportedK(RipforgeError):
 
 class ZeroRow(RipforgeError):
     """A matrix row is identically zero and cannot be projected to the sphere."""
-
-
-class EpsilonOutOfRange(RipforgeError):
-    """Conversion between embedding/design defects is outside its validity range."""

@@ -27,6 +27,7 @@ from .errors import DimensionMismatch, NonFiniteEntry, ParseError
 
 CMX_MAGIC = "#cmx 1"
 GRAM_STRIP_BYTES = 32 << 20  # largest Gram strip gram_strips holds at once
+FLOAT32_SIGN_ROWS = 1 << 24  # most rows over which +-1 product sums stay exact in float32
 CMX_BLOCK_PARTS = 1 << 16    # float64 parts write_cmx formats per block of rows
 _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b" :")
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ripforge import certify
 from ripforge.certify import (CertReport, certify_sign_matrix, coherence, condition_a,
                               condition_b, default_kappa, derive_subseed, exact_ric,
                               las_vegas, probe_l1, theorem1_bound)
@@ -128,6 +129,26 @@ def test_condition_b_matches_subset_loop_oracle():
         assert report.coherence == report.max_pair_sum / m, (m, n, seed)
 
 
+def test_condition_b_float64_path_matches_float32_path(monkeypatch):
+    # the cases of the subset-loop oracle test, whose float32 answers it checks
+    cases = [(21, 7, 9)] + [(m, n, seed) for m in (8, 12, 21)
+                            for n in range(4, 13) for seed in range(3)]
+    mats = [rademacher(m, n, seed=seed) for m, n, seed in cases]
+    want = [condition_b(mat, kappa=1.0)[1:3] for mat in mats]
+    monkeypatch.setattr("ripforge.matrix_core.FLOAT32_SIGN_ROWS", 7)  # below every m
+    for mat, case, expected in zip(mats, cases, want):
+        assert condition_b(mat, kappa=1.0)[1:3] == expected, case
+
+
+def test_condition_b_counterexample_sums_to_m_at_two_to_the_twenty():
+    # c1 o c2 = c3 o c4 makes the 4-subset sum m = 2^20, exact in float32
+    m = 1 << 20
+    c2 = np.random.default_rng(1).choice([-1.0, 1.0], size=m)
+    cols = np.column_stack([np.ones(m), c2, -np.ones(m), -c2])
+    check = condition_b(Matrix(cols), kappa=5.0)
+    assert (check.max_sum, check.witness, check.passed) == (m, (0, 1, 2, 3), False)
+
+
 def test_condition_b_failure_rate_within_union_bound():
     kappa = default_kappa(16)
     failures = sum(not condition_b(rademacher(64, 16, seed=t), kappa).passed
@@ -200,6 +221,16 @@ def test_exact_ric_examples():
         exact_ric(Matrix(np.ones((2, 50)) - 2 * np.eye(2, 50)), 5)
     with pytest.raises(InvalidParams):
         exact_ric(Matrix(np.eye(3)), 4)
+
+
+def test_exact_ric_at_one_builds_no_gram(monkeypatch):
+    def no_strips(arr):
+        raise AssertionError("delta_1 needs no Gram strip")
+    monkeypatch.setattr(certify, "gram_strips", no_strips)
+    assert exact_ric(weil(5, 2), 1) == 0.0
+    assert exact_ric(Matrix(np.ones((1, 1_000_001))), 1) == 0.0  # no subset cap
+    with pytest.raises(ZeroColumn):
+        exact_ric(Matrix(np.array([[1.0, 0.0], [2.0, 0.0]])), 1)
 
 
 def test_exact_ric_below_s_times_coherence():
@@ -296,6 +327,39 @@ def test_probe_l1_single_column_activation():
     report = probe_l1(mat, 1, trials=300, seed=1)
     assert report.min_ratio == pytest.approx(col_l1.min(), rel=1e-12)
     assert report.max_ratio == pytest.approx(col_l1.max(), rel=1e-12)
+
+
+def test_probe_supports_are_uniform_s_subsets():
+    n, s, draws = 5, 2, 100_000
+    X = certify._sparse_trials(np.random.default_rng(12), n, s, draws, complex_field=False)
+    nonzero = X != 0.0
+    assert (nonzero.sum(axis=0) == s).all()  # s distinct indices per trial
+    subsets, counts = np.unique(nonzero.T, axis=0, return_counts=True)
+    assert len(subsets) == math.comb(n, s)
+    p = 1 / math.comb(n, s)
+    sigma = math.sqrt(draws * p * (1 - p))
+    assert np.all(np.abs(counts - draws * p) <= 4 * sigma), counts
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_probe_sampler_edges(complex_field):
+    rng = np.random.default_rng(4)
+    one = certify._sparse_trials(rng, 6, 1, 500, complex_field)
+    full = certify._sparse_trials(rng, 6, 6, 500, complex_field)
+    assert ((one != 0).sum(axis=0) == 1).all()
+    assert set(np.nonzero(one)[0]) == set(range(6))
+    assert (full != 0).all()
+    assert one.dtype == full.dtype == (np.complex128 if complex_field else np.float64)
+
+
+def test_probe_l1_single_column_on_real_matrix():
+    # at s = 1 every ratio is a column l1 norm, for any column scaling
+    data = np.random.default_rng(5).standard_normal((40, 6)) * np.arange(1.0, 7.0)
+    col_l1 = np.abs(data).sum(axis=0)
+    report = probe_l1(Matrix(data), 1, trials=300, seed=2)
+    assert report.min_ratio == pytest.approx(col_l1.min(), rel=1e-12)
+    assert report.max_ratio == pytest.approx(col_l1.max(), rel=1e-12)
+    assert report.sampler == certify.PROBE_SAMPLER == 2
 
 
 def test_certify_sign_matrix_report():

@@ -136,6 +136,7 @@ def test_seeded_output_is_byte_identical(tmp_path, capsys):
     assert run(argv) == 0
     second = capsys.readouterr().out
     assert first == second
+    assert json.loads(first)["sampler"] == 2
 
 
 def test_verify_commands(tmp_path, capsys):

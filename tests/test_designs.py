@@ -1,14 +1,38 @@
+import math
+
 import numpy as np
 import pytest
 
 from ripforge.constructors import alltop, devore, golomb_stacked, rademacher, weil
 from ripforge.designs import (EpsilonChain, WeightedPointSet, delta_closed_form,
-                              delta_monte_carlo, design_defect, epsilon_chain,
-                              matrix_to_design, read_design, tensor_defect_explicit,
-                              write_design)
-from ripforge.errors import (EpsilonOutOfRange, InvalidParams, InvalidPointSet, ParseError,
-                             UnsupportedK, ZeroRow)
+                              delta_monte_carlo, design_defect, matrix_to_design,
+                              read_design, tensor_defect_explicit, write_design)
+from ripforge.errors import InvalidParams, InvalidPointSet, ParseError, UnsupportedK, ZeroRow
 from ripforge.matrix_core import Matrix, write_cmx
+
+
+def epsilon_chain(direction: str, input_eps: float, n: int | None = None,
+                  k: int | None = None, field: str | None = None) -> float:
+    """Convert between embedding error (1), design defect (2), tensor
+    deviation (3): the referee for EpsilonChain.from_defect.
+
+    "2to3": eps3 = sqrt(eps2); "3to1": eps1 = eps3 / delta_{n,2k};
+    "1to2": eps2 = 4 eps1 delta_{n,2k}, valid only for eps1 <= 1/2.
+    """
+    if input_eps < 0.0:
+        raise ValueError("epsilon must be nonnegative")
+    if direction == "2to3":
+        return math.sqrt(input_eps)
+    if direction in ("3to1", "1to2"):
+        if n is None or k is None or field is None:
+            raise ValueError(f"direction {direction!r} needs n, k and field")
+        delta = delta_closed_form(n, k, field)
+        if direction == "3to1":
+            return input_eps / delta
+        if input_eps > 0.5:
+            raise ValueError("the 1 -> 2 conversion requires eps1 <= 1/2")
+        return 4.0 * input_eps * delta
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 def random_point_set(rng, n_points, dim, complex_field):
@@ -125,11 +149,11 @@ def test_epsilon_chain_conversions():
     # eps2 = 4 eps1 delta
     assert epsilon_chain("1to2", 0.3, n=3, k=2, field="complex") == pytest.approx(
         4 * 0.3 / 6, rel=1e-14)
-    with pytest.raises(EpsilonOutOfRange):
+    with pytest.raises(ValueError, match="eps1 <= 1/2"):
         epsilon_chain("1to2", 0.6, n=3, k=2, field="complex")
-    with pytest.raises(InvalidParams):
-        epsilon_chain("3to1", 0.1)  # needs n, k, field
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError, match="needs n, k and field"):
+        epsilon_chain("3to1", 0.1)
+    with pytest.raises(ValueError, match="unknown direction"):
         epsilon_chain("sideways", 0.1)
 
 
@@ -138,6 +162,8 @@ def test_epsilon_chain_dataclass_consistency():
     assert chain.eps3 == pytest.approx(0.2)
     assert chain.eps1 == pytest.approx(0.2 * 6)
     assert chain.eps2 == 0.04
+    assert chain.eps3 == epsilon_chain("2to3", chain.eps2)
+    assert chain.eps1 == epsilon_chain("3to1", chain.eps3, n=3, k=2, field="complex")
 
 
 def test_design_round_trip(tmp_path):
