@@ -1,24 +1,9 @@
-"""Deterministic measurement matrices with certified embedding properties.
+"""Deterministic measurement matrices with certified embedding properties."""
 
-Submodules are imported lazily so the command-line entry point can apply
-the RIPFORGE_THREADS cap before any BLAS pool initializes.
-"""
-
-import importlib
+from . import (analysis, certify, cli, constructors, designs, errors, golomb, matrix_core,
+               num_theory, recovery)
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("analysis", "certify", "cli", "constructors", "designs", "errors",
-               "golomb", "matrix_core", "num_theory", "recovery")
-
-__all__ = list(_SUBMODULES)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_SUBMODULES))
+__all__ = ["analysis", "certify", "cli", "constructors", "designs", "errors", "golomb",
+           "matrix_core", "num_theory", "recovery"]

@@ -45,6 +45,7 @@ from .matrix_core import Matrix, as_array, gram_strips
 
 SUBSEED_DERIVATION = "numpy SeedSequence((seed, round)), first uint64 word"
 PROBE_SAMPLER = 2  # version of probe_l1's seed -> sample mapping
+RIC_SUBSET_CAP = 1_000_000  # most s-subsets exact_ric enumerates at s >= 3
 
 
 class ConditionCheck(NamedTuple):
@@ -81,7 +82,6 @@ class CertReport:
     alpha: float | None = None
     beta: float | None = None
     distortion_bound: float | None = None
-    gamma_threshold: float | None = None
 
 
 @dataclass(frozen=True)
@@ -219,21 +219,15 @@ def las_vegas(m: int, n_cols: int, kappa: float | None = None,
     for t in range(1, max_rounds + 1):
         sub = derive_subseed(seed, t)
         draw = rademacher(m, n_cols, sub)
-        ca = condition_a(draw, kappa)
-        cb = condition_b(draw, kappa)
-        if ca.passed and cb.passed:
+        report = certify_sign_matrix(draw, kappa)
+        if report.cond_a_pass and report.cond_b_pass:
             meta = dict(draw.meta)
             meta.update({"construction": "lasvegas", "kappa": kappa, "seed": int(seed),
                          "round": t, "subseed": sub, "derive": SUBSEED_DERIVATION})
             return Matrix(draw.data, meta=meta), t
-        score = max(ca.max_sum, cb.max_sum)
+        score = max(report.max_pair_sum, report.max_quad_sum)
         if score < best_score:
-            best_score = score
-            best_report = CertReport(
-                coherence=ca.max_sum / m, kappa=kappa, threshold=ca.threshold,
-                max_pair_sum=ca.max_sum, max_quad_sum=cb.max_sum,
-                cond_a_pass=ca.passed, cond_b_pass=cb.passed,
-                pair_witness=ca.witness, quad_witness=cb.witness)
+            best_score, best_report = score, report
     raise RoundsExhausted(f"no certified draw in {max_rounds} rounds",
                           rounds=max_rounds, best=best_report)
 
@@ -305,17 +299,17 @@ def _max_triple(hollow: np.ndarray) -> float:
     return float(anchor_max.max())  # a NaN would propagate here, not be skipped
 
 
-def exact_ric(A, s: int, max_subsets: int = 1_000_000) -> float:
+def exact_ric(A, s: int) -> float:
     """Exhaustive restricted isometry constant delta_s over all s-subsets.
 
     delta_s is the largest spectral norm ||H_S||_2 over s-subsets S, where H
     is the Gram of the unit-normalized columns with its diagonal set to 0.
     At s = 2 the block [[0, g], [conj(g), 0]] has eigenvalues +-|g|, so
     delta_2 = coherence(A), bit for bit, from the same Gram-strip pass and
-    without the subset cap.  At s = 3 each block's norm is the largest root
-    of its characteristic cubic, in closed form.  s >= 4 takes batched
-    eigensolves of the blocks H_S.  delta_1 = 0, since each 1 x 1 block of H
-    is 0, and needs no Gram at all.
+    without the subset cap RIC_SUBSET_CAP.  At s = 3 each block's norm is the
+    largest root of its characteristic cubic, in closed form.  s >= 4 takes
+    batched eigensolves of the blocks H_S.  delta_1 = 0, since each 1 x 1
+    block of H is 0, and needs no Gram at all.
 
     By interlacing and Gershgorin, mu <= delta_s <= (s - 1) mu for s >= 2,
     with mu = coherence(A), up to a relative O(eps).  For exactly orthogonal
@@ -331,8 +325,8 @@ def exact_ric(A, s: int, max_subsets: int = 1_000_000) -> float:
     if s == 2:
         return _max_pair(arr, column_norms(arr))[0]
     n_subsets = math.comb(n, s)
-    if n_subsets > max_subsets:
-        raise TooLarge(f"C({n},{s}) = {n_subsets} subsets exceeds the cap {max_subsets}")
+    if n_subsets > RIC_SUBSET_CAP:
+        raise TooLarge(f"C({n},{s}) = {n_subsets} subsets exceeds the cap {RIC_SUBSET_CAP}")
     hollow = _hollow_gram(arr)
     if s == 3:
         return _max_triple(hollow)
@@ -375,10 +369,11 @@ def probe_l1(A, s: int, trials: int, seed: int) -> ProbeReport:
     circular complex) Gaussians.  The reported spread can only
     underestimate the true distortion, never certify it.  Trials are drawn
     in blocks of 2048 by _sparse_trials; that seed -> sample mapping is
-    sampler version PROBE_SAMPLER, recorded in the report.
+    sampler version PROBE_SAMPLER, recorded in the report.  Each block's
+    product A X is formed in column chunks under GRAM_STRIP_BYTES.
     """
     arr = as_array(A)
-    n = arr.shape[1]
+    m, n = arr.shape
     if not 1 <= s <= n:
         raise InvalidParams(f"need 1 <= s <= {n}")
     if trials < 1:
@@ -389,21 +384,24 @@ def probe_l1(A, s: int, trials: int, seed: int) -> ProbeReport:
 
     lo, hi = math.inf, -math.inf
     block_size = 2048
+    itemsize = np.result_type(arr.dtype, np.float64).itemsize  # of the product A X
+    width = max(1, matrix_core.GRAM_STRIP_BYTES // (m * itemsize))
     for start in range(0, trials, block_size):
         X = _sparse_trials(rng, n, s, min(block_size, trials - start), complex_field)
-        Y = arr @ X
-        l1 = (np.abs(Y) if complex_field else np.abs(Y, out=Y)).sum(axis=0)  # real: in place
-        del Y  # or the next block's product is allocated while this one is alive
-        ratios = l1 / np.linalg.norm(X, axis=0)
-        lo = min(lo, float(ratios.min()))
-        hi = max(hi, float(ratios.max()))
+        for j in range(0, X.shape[1], width):
+            chunk = X[:, j:j + width]
+            Y = arr @ chunk
+            l1 = (np.abs(Y) if complex_field else np.abs(Y, out=Y)).sum(axis=0)  # in place
+            del Y  # or the next chunk's product is allocated while this one is alive
+            ratios = l1 / np.linalg.norm(chunk, axis=0)
+            lo = min(lo, float(ratios.min()))
+            hi = max(hi, float(ratios.max()))
     return ProbeReport(trials=trials, min_ratio=lo, max_ratio=hi,
                        empirical_distortion=hi / lo, sampler=PROBE_SAMPLER)
 
 
 def certify_sign_matrix(A, kappa: float | None = None, delta: float | None = None,
-                        s: int | None = None,
-                        gamma_threshold: float | None = None) -> CertReport:
+                        s: int | None = None) -> CertReport:
     """Full certification record: coherence, conditions (a)-(b), and, when
     delta and s are supplied, the implied embedding constants."""
     arr = _sign_entries(A)
@@ -421,5 +419,4 @@ def certify_sign_matrix(A, kappa: float | None = None, delta: float | None = Non
         m_required=bound.m_required if bound else None,
         alpha=bound.alpha if bound else None,
         beta=bound.beta if bound else None,
-        distortion_bound=bound.distortion_bound if bound else None,
-        gamma_threshold=gamma_threshold)
+        distortion_bound=bound.distortion_bound if bound else None)

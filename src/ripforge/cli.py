@@ -6,10 +6,6 @@ diagnostics on stderr, and exits with 0 (success / check passed),
 a request too large for memory).  All
 randomized paths take an explicit --seed and reproduce byte-identical
 output for identical seeds.
-
-Heavy imports happen inside the handlers so that the RIPFORGE_THREADS
-cap (applied in main() before anything numerical loads) can take effect
-on the BLAS thread pools.
 """
 
 from __future__ import annotations
@@ -17,23 +13,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
+from dataclasses import asdict
 
+import numpy as np
+
+from . import analysis, certify, constructors, designs, matrix_core, recovery
 from .errors import RipforgeError, RoundsExhausted
 
 IDENTITY_TOL = 1e-8
 ISOMETRY_RTOL = 1e-10
 EMBEDDING_SLACK = 1e-9
 RECOVERY_TOL = 1e-6
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("RIPFORGE_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _nonneg_int(text: str) -> int:
@@ -55,7 +46,6 @@ def _emit(report: dict) -> None:
 
 
 def _json_default(obj):
-    import numpy as np
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
@@ -66,9 +56,8 @@ def _json_default(obj):
 
 
 def _kappa_value(text: str, n_cols: int) -> float:
-    from .certify import default_kappa
     if text == "auto":
-        return default_kappa(n_cols)
+        return certify.default_kappa(n_cols)
     try:
         value = float(text)
     except ValueError:
@@ -79,7 +68,6 @@ def _kappa_value(text: str, n_cols: int) -> float:
 
 
 def _random_vector(rng, n: int, complex_field: bool):
-    import numpy as np
     if complex_field:
         return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
     return rng.standard_normal(n)
@@ -88,10 +76,6 @@ def _random_vector(rng, n: int, complex_field: bool):
 # -- construct ----------------------------------------------------------------
 
 def _cmd_construct(args) -> tuple[dict, bool]:
-    from . import constructors
-    from .certify import las_vegas
-    from .matrix_core import write_cmx
-
     extra: dict = {}
     if args.family == "golomb":
         mat = constructors.golomb_phase(args.p)
@@ -107,12 +91,12 @@ def _cmd_construct(args) -> tuple[dict, bool]:
         mat = constructors.rademacher(args.m, args.N, args.seed)
     elif args.family == "lasvegas":
         kappa = _kappa_value(args.kappa, args.N)
-        mat, rounds = las_vegas(args.m, args.N, kappa=kappa,
-                                max_rounds=args.max_rounds, seed=args.seed)
+        mat, rounds = certify.las_vegas(args.m, args.N, kappa=kappa,
+                                        max_rounds=args.max_rounds, seed=args.seed)
         extra = {"rounds_used": rounds, "kappa": kappa}
     else:  # composed
         mat = constructors.composed(args.s, args.N, p_override=args.p)
-    write_cmx(mat, args.output)
+    matrix_core.write_cmx(mat, args.output)
     report = {"construction": mat.meta.get("construction"), "rows": mat.rows,
               "cols": mat.cols, "field": mat.field_name, "path": args.output}
     report.update(extra)
@@ -122,20 +106,18 @@ def _cmd_construct(args) -> tuple[dict, bool]:
 # -- certify ------------------------------------------------------------------
 
 def _cmd_certify(args) -> tuple[dict, bool]:
-    from dataclasses import asdict
-    from .certify import certify_sign_matrix, coherence, exact_ric
-    from .matrix_core import read_cmx
-
-    mat = read_cmx(args.file)
+    mat = matrix_core.read_cmx(args.file)
     if args.check == "coherence":
-        return {"coherence": coherence(mat), "rows": mat.rows, "cols": mat.cols}, True
+        mu = certify.coherence(mat)
+        return {"coherence": mu, "rows": mat.rows, "cols": mat.cols}, True
     if args.check == "ric":
-        delta_s = exact_ric(mat, args.s)
-        mu = delta_s if args.s == 2 else coherence(mat)  # delta_2 = mu: one strip pass
+        delta_s = certify.exact_ric(mat, args.s)
+        # delta_2 = mu: one strip pass
+        mu = delta_s if args.s == 2 else certify.coherence(mat)
         return {"s": args.s, "delta_s": delta_s, "coherence": mu,
                 "s_mu_bound": args.s * mu}, True
     kappa = _kappa_value(args.kappa, mat.cols)
-    report = certify_sign_matrix(mat, kappa=kappa, delta=args.delta, s=args.s)
+    report = certify.certify_sign_matrix(mat, kappa=kappa, delta=args.delta, s=args.s)
     out = {k: v for k, v in asdict(report).items() if v is not None}
     return out, report.cond_a_pass and report.cond_b_pass
 
@@ -143,11 +125,8 @@ def _cmd_certify(args) -> tuple[dict, bool]:
 # -- probe --------------------------------------------------------------------
 
 def _cmd_probe(args) -> tuple[dict, bool]:
-    from dataclasses import asdict
-    from .certify import probe_l1
-    from .matrix_core import read_cmx
-
-    report = probe_l1(read_cmx(args.file), args.s, args.trials, args.seed)
+    mat = matrix_core.read_cmx(args.file)
+    report = certify.probe_l1(mat, args.s, args.trials, args.seed)
     out = asdict(report)
     out["note"] = "sampled spread is a lower bound on the true distortion"
     return out, True
@@ -156,24 +135,19 @@ def _cmd_probe(args) -> tuple[dict, bool]:
 # -- verify -------------------------------------------------------------------
 
 def _cmd_verify(args) -> tuple[dict, bool]:
-    import numpy as np
-    from .analysis import l2_identity, l4_identity, quadruple_tensor
-    from .certify import column_norms
-    from .matrix_core import matvec, norm, read_cmx
-
-    mat = read_cmx(args.file)
+    mat = matrix_core.read_cmx(args.file)
     rng = np.random.default_rng(args.seed)
     complex_field = mat.field_name == "complex"
 
     if args.property == "identities":
         max_gap = max_rel_gap = 0.0
-        tensor = quadruple_tensor(mat)  # independent of x: once per run
+        tensor = analysis.quadruple_tensor(mat)  # independent of x: once per run
         for _ in range(args.trials):
             x = _random_vector(rng, mat.cols, complex_field)
-            rep = l2_identity(mat, x)
+            rep = analysis.l2_identity(mat, x)
             max_gap = max(max_gap, rep.abs_gap)
             max_rel_gap = max(max_rel_gap, rep.abs_gap / rep.direct_value)
-            rep = l4_identity(mat, x, tensor)
+            rep = analysis.l4_identity(mat, x, tensor)
             gap = max(rep.abs_gap, rep.abs_gap_split)
             max_gap = max(max_gap, gap)
             max_rel_gap = max(max_rel_gap, gap / rep.direct_value)
@@ -186,19 +160,20 @@ def _cmd_verify(args) -> tuple[dict, bool]:
         worst = 0.0
         for _ in range(args.trials):
             x = _random_vector(rng, mat.cols, complex_field)
-            nx = norm(x, 2)
-            worst = max(worst, abs(norm(matvec(mat, x), 4) - nx) / nx)
+            nx = matrix_core.norm(x, 2)
+            y = matrix_core.matvec(mat, x)
+            worst = max(worst, abs(matrix_core.norm(y, 4) - nx) / nx)
         ok = worst <= ISOMETRY_RTOL
         return {"property": "isometry", "trials": args.trials,
                 "max_rel_deviation": worst, "tolerance": ISOMETRY_RTOL, "pass": ok}, ok
 
     # embedding: m/sqrt(2) ||x||_2 <= ||Ax||_1 <= m ||x||_2
-    column_norms(mat)  # a zero column violates the lower bound at x = e_j
+    certify.column_norms(mat)  # a zero column violates the lower bound at x = e_j
     m = mat.rows
     lo, hi = np.inf, -np.inf
     for _ in range(args.trials):
         x = _random_vector(rng, mat.cols, complex_field)
-        r1 = norm(matvec(mat, x), 1) / norm(x, 2)
+        r1 = matrix_core.norm(matrix_core.matvec(mat, x), 1) / matrix_core.norm(x, 2)
         lo, hi = min(lo, r1), max(hi, r1)
     ok = lo >= m / np.sqrt(2) * (1 - EMBEDDING_SLACK) and hi <= m * (1 + EMBEDDING_SLACK)
     return {"property": "embedding", "trials": args.trials, "min_ratio": lo,
@@ -209,22 +184,18 @@ def _cmd_verify(args) -> tuple[dict, bool]:
 # -- design -------------------------------------------------------------------
 
 def _cmd_design(args) -> tuple[dict, bool]:
-    from .designs import (delta_closed_form, design_defect, matrix_to_design,
-                          read_design, write_design)
-
     if args.task == "delta":
         return {"n": args.n, "k": args.k, "field": args.field,
-                "delta": delta_closed_form(args.n, args.k, args.field)}, True
+                "delta": designs.delta_closed_form(args.n, args.k, args.field)}, True
     if args.task == "defect":
-        ps = read_design(args.file)
-        defect = design_defect(ps, args.k)
+        ps = designs.read_design(args.file)
+        defect = designs.design_defect(ps, args.k)
         return {"k": args.k, "n_points": ps.n_points, "dim": ps.dim,
                 "field": ps.field_name, "defect": defect,
-                "delta": delta_closed_form(ps.dim, args.k, ps.field_name)}, True
+                "delta": designs.delta_closed_form(ps.dim, args.k, ps.field_name)}, True
     # from-matrix
-    from .matrix_core import read_cmx
-    ps, total = matrix_to_design(read_cmx(args.file), args.k)
-    write_design(ps, args.output, extra_meta={"k": args.k, "source": args.file})
+    ps, total = designs.matrix_to_design(matrix_core.read_cmx(args.file), args.k)
+    designs.write_design(ps, args.output, extra_meta={"k": args.k, "source": args.file})
     return {"k": args.k, "n_points": ps.n_points, "dim": ps.dim, "S": total,
             "path": args.output}, True
 
@@ -232,18 +203,14 @@ def _cmd_design(args) -> tuple[dict, bool]:
 # -- recover ------------------------------------------------------------------
 
 def _cmd_recover(args) -> tuple[dict, bool]:
-    import numpy as np
-    from .matrix_core import read_cmx
-    from .recovery import iht
-
-    mat = read_cmx(args.file)
+    mat = matrix_core.read_cmx(args.file)
     rng = np.random.default_rng(args.seed)
     support = rng.choice(mat.cols, size=args.s, replace=False)
     x0 = np.zeros(mat.cols,
                   dtype=np.complex128 if mat.field_name == "complex" else np.float64)
     x0[support] = _random_vector(rng, args.s, mat.field_name == "complex")
     y = mat.data @ x0
-    result = iht(mat, y, args.s, max_iter=args.max_iter, tol=args.tol)
+    result = recovery.iht(mat, y, args.s, max_iter=args.max_iter, tol=args.tol)
     rel_error = float(np.linalg.norm(result.estimate - x0) / np.linalg.norm(x0))
     ok = rel_error <= RECOVERY_TOL
     return {"s": args.s, "iterations": result.iterations, "converged": result.converged,
@@ -430,7 +397,6 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    _apply_thread_cap()
     sys.exit(run(sys.argv[1:]))
 
 

@@ -193,6 +193,17 @@ def test_las_vegas_rounds_exhausted():
     assert err.value.best.max_pair_sum >= 1
 
 
+def test_las_vegas_best_is_the_report_of_the_best_round():
+    m, n, kappa, seed, rounds = 64, 8, 0.01, 3, 6  # round 2 scores lowest
+    with pytest.raises(RoundsExhausted) as err:
+        las_vegas(m, n, kappa=kappa, max_rounds=rounds, seed=seed)
+    reports = [certify_sign_matrix(rademacher(m, n, derive_subseed(seed, t)), kappa)
+               for t in range(1, rounds + 1)]
+    scores = [max(r.max_pair_sum, r.max_quad_sum) for r in reports]
+    assert len(set(scores)) > 1  # the rounds differ, so the choice is tested
+    assert err.value.best == reports[scores.index(min(scores))]
+
+
 def test_theorem1_bound_values():
     bound = theorem1_bound(default_kappa(32), 0.5, 2)
     assert bound.m_required == 1775
@@ -302,6 +313,15 @@ def test_exact_ric_cubic_on_orthonormal_columns():
     assert exact_ric(mat, 3) == 0.0 == coherence(mat)
 
 
+def test_exact_ric_subset_cap(monkeypatch, subset_ric):
+    monkeypatch.setattr(certify, "RIC_SUBSET_CAP", 9)
+    rng = np.random.default_rng(9)
+    with pytest.raises(TooLarge, match=r"C\(5,3\) = 10 subsets exceeds the cap 9"):
+        exact_ric(Matrix(rng.standard_normal((4, 5))), 3)
+    data = rng.standard_normal((4, 4))  # C(4,3) = 4
+    assert abs(exact_ric(Matrix(data), 3) - subset_ric(data, 3)) <= 1e-13
+
+
 def test_exact_ric_at_two_has_no_subset_cap():
     mat = rademacher(16, 1500, seed=8)  # C(1500,2) = 1 124 250 pairs
     assert math.comb(1500, 2) > 1_000_000
@@ -360,6 +380,31 @@ def test_probe_l1_single_column_on_real_matrix():
     assert report.min_ratio == pytest.approx(col_l1.min(), rel=1e-12)
     assert report.max_ratio == pytest.approx(col_l1.max(), rel=1e-12)
     assert report.sampler == certify.PROBE_SAMPLER == 2
+
+
+def _dense_probe(arr: np.ndarray, s: int, trials: int, seed: int) -> tuple[float, float]:
+    """Smallest and largest l1/l2 ratio of probe_l1's trials, each block's
+    product A X formed whole."""
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for start in range(0, trials, 2048):
+        X = certify._sparse_trials(rng, arr.shape[1], s, min(2048, trials - start),
+                                   np.iscomplexobj(arr))
+        ratios.append(np.abs(arr @ X).sum(axis=0) / np.linalg.norm(X, axis=0))
+    ratios = np.concatenate(ratios)
+    return float(ratios.min()), float(ratios.max())
+
+
+def test_probe_l1_chunks_match_dense_referee(strip_budget):
+    # under the tiny budget the real product runs in chunks of a few
+    # columns and the complex ones in single columns
+    rng = np.random.default_rng(6)
+    for mat in (golomb_phase(3), weil(5, 1), Matrix(rng.standard_normal((40, 9)))):
+        for seed in range(8):  # a skipped trial shows once it holds an extreme
+            report = probe_l1(mat, 2, trials=2100, seed=seed)  # two blocks of trials
+            lo, hi = _dense_probe(mat.data, 2, 2100, seed)
+            assert report.min_ratio == pytest.approx(lo, rel=1e-12), (mat.meta, seed)
+            assert report.max_ratio == pytest.approx(hi, rel=1e-12), (mat.meta, seed)
 
 
 def test_certify_sign_matrix_report():

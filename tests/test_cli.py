@@ -235,6 +235,23 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert read_cmx(path).data.shape == (37, 3)
 
 
+def test_import_reaches_every_submodule():
+    env = dict(os.environ)
+    src = str(Path(ripforge.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import ripforge; "
+            "print(ripforge.certify.coherence.__name__, "
+            "ripforge.constructors.golomb_phase.__name__); "
+            "print(' '.join(sorted(ripforge.__all__)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "coherence golomb_phase",
+        "analysis certify cli constructors designs errors golomb matrix_core "
+        "num_theory recovery"]
+
+
 def test_non_finite_matrix_exits_2(tmp_path, capsys):
     header = ["#cmx 1", "field real"]
     nan_path = tmp_path / "nan.cmx"
