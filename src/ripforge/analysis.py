@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotUnimodular, TooManyColumns, ZeroVector
+from .errors import DimensionMismatch, NotUnimodular, TooLarge, ZeroVector
 from .matrix_core import as_array, matvec, norm
 
 UNIMODULAR_TOL = 1e-12
@@ -114,7 +114,7 @@ def quadruple_tensor(B) -> np.ndarray:
     _check_unimodular(B)
     q, r = B.shape
     if r > MAX_QUARTIC_COLS:
-        raise TooManyColumns(f"quadruple enumeration is quartic; r={r} > {MAX_QUARTIC_COLS}")
+        raise TooLarge(f"quadruple enumeration is quartic; r={r} > {MAX_QUARTIC_COLS}")
     tensor = np.zeros((r * r, r * r), dtype=np.complex128)
     for i in range(0, q, QUAD_BLOCK_ROWS):
         block = B[i:i + QUAD_BLOCK_ROWS]
@@ -154,7 +154,7 @@ def l4_identity(B, x, tensor=None) -> IdentityReport:
     x = _check_x(B, x)
     q, r = B.shape
     if r > MAX_QUARTIC_COLS:
-        raise TooManyColumns(f"quadruple enumeration is quartic; r={r} > {MAX_QUARTIC_COLS}")
+        raise TooLarge(f"quadruple enumeration is quartic; r={r} > {MAX_QUARTIC_COLS}")
 
     direct = norm(B @ x, 4) ** 4
     common = 2.0 * norm(x, 2) ** 2 * norm(B @ x, 2) ** 2 - q * norm(x, 4) ** 4

@@ -39,8 +39,7 @@ import numpy as np
 
 from . import matrix_core
 from .constructors import rademacher
-from .errors import (InvalidDelta, InvalidParams, NotSignMatrix, RoundsExhausted,
-                     TooLarge, ZeroColumn)
+from .errors import InvalidParams, NotSignMatrix, RoundsExhausted, TooLarge, ZeroColumn
 from .matrix_core import Matrix, as_array, gram_strips
 
 SUBSEED_DERIVATION = "numpy SeedSequence((seed, round)), first uint64 word"
@@ -76,12 +75,6 @@ class CertReport:
     cond_b_pass: bool
     pair_witness: tuple[int, ...] | None
     quad_witness: tuple[int, ...] | None
-    delta: float | None = None
-    s: int | None = None
-    m_required: int | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    distortion_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -240,7 +233,7 @@ def theorem1_bound(kappa: float, delta: float, s: int) -> Theorem1Bound:
     As delta -> 0 the distortion bound tends to sqrt(3).
     """
     if not 0.0 < delta < 1.0:
-        raise InvalidDelta(f"delta={delta} must lie in (0, 1)")
+        raise InvalidParams(f"delta={delta} must lie in (0, 1)")
     if s < 1 or kappa <= 0.0:
         raise InvalidParams("need s >= 1 and kappa > 0")
     m_required = math.ceil(kappa**2 / delta**2 * s**4)
@@ -400,23 +393,17 @@ def probe_l1(A, s: int, trials: int, seed: int) -> ProbeReport:
                        empirical_distortion=hi / lo, sampler=PROBE_SAMPLER)
 
 
-def certify_sign_matrix(A, kappa: float | None = None, delta: float | None = None,
-                        s: int | None = None) -> CertReport:
-    """Full certification record: coherence, conditions (a)-(b), and, when
-    delta and s are supplied, the implied embedding constants."""
+def certify_sign_matrix(A, kappa: float | None = None) -> CertReport:
+    """Full certification record: coherence and conditions (a)-(b).  The
+    embedding constants a pass implies depend only on kappa, delta and s;
+    theorem1_bound gives them."""
     arr = _sign_entries(A)
     if kappa is None:
         kappa = default_kappa(arr.shape[1])
     ca = condition_a(A, kappa)
     cb = condition_b(A, kappa)
-    bound = theorem1_bound(kappa, delta, s) if delta is not None and s is not None else None
     return CertReport(
         coherence=ca.max_sum / arr.shape[0], kappa=kappa, threshold=ca.threshold,
         max_pair_sum=ca.max_sum, max_quad_sum=cb.max_sum,
         cond_a_pass=ca.passed, cond_b_pass=cb.passed,
-        pair_witness=ca.witness, quad_witness=cb.witness,
-        delta=delta, s=s,
-        m_required=bound.m_required if bound else None,
-        alpha=bound.alpha if bound else None,
-        beta=bound.beta if bound else None,
-        distortion_bound=bound.distortion_bound if bound else None)
+        pair_witness=ca.witness, quad_witness=cb.witness)

@@ -41,18 +41,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonneg_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError("must be a finite nonnegative number")
+    return value
+
+
 def _emit(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True, allow_nan=False, default=_json_default))
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    print(json.dumps(report, sort_keys=True, allow_nan=False))
 
 
 def _kappa_value(text: str, n_cols: int) -> float:
@@ -62,8 +59,8 @@ def _kappa_value(text: str, n_cols: int) -> float:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value):
-        raise RipforgeError(f"--kappa must be 'auto' or a finite number, got {text!r}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise RipforgeError(f"--kappa must be 'auto' or a finite number > 0, got {text!r}")
     return value
 
 
@@ -116,10 +113,15 @@ def _cmd_certify(args) -> tuple[dict, bool]:
         mu = delta_s if args.s == 2 else certify.coherence(mat)
         return {"s": args.s, "delta_s": delta_s, "coherence": mu,
                 "s_mu_bound": args.s * mu}, True
+    if (args.delta is None) != (args.s is None):
+        raise RipforgeError("--delta and --s must be given together")
     kappa = _kappa_value(args.kappa, mat.cols)
-    report = certify.certify_sign_matrix(mat, kappa=kappa, delta=args.delta, s=args.s)
-    out = {k: v for k, v in asdict(report).items() if v is not None}
-    return out, report.cond_a_pass and report.cond_b_pass
+    bound = {}
+    if args.delta is not None:  # Theorem 1 needs kappa, delta and s, not A: check before the scan
+        bound = {"delta": args.delta, "s": args.s,
+                 **asdict(certify.theorem1_bound(kappa, args.delta, args.s))}
+    report = certify.certify_sign_matrix(mat, kappa=kappa)
+    return {**asdict(report), **bound}, report.cond_a_pass and report.cond_b_pass
 
 
 # -- probe --------------------------------------------------------------------
@@ -170,14 +172,14 @@ def _cmd_verify(args) -> tuple[dict, bool]:
     # embedding: m/sqrt(2) ||x||_2 <= ||Ax||_1 <= m ||x||_2
     certify.column_norms(mat)  # a zero column violates the lower bound at x = e_j
     m = mat.rows
-    lo, hi = np.inf, -np.inf
+    lo, hi = math.inf, -math.inf
     for _ in range(args.trials):
         x = _random_vector(rng, mat.cols, complex_field)
         r1 = matrix_core.norm(matrix_core.matvec(mat, x), 1) / matrix_core.norm(x, 2)
         lo, hi = min(lo, r1), max(hi, r1)
-    ok = lo >= m / np.sqrt(2) * (1 - EMBEDDING_SLACK) and hi <= m * (1 + EMBEDDING_SLACK)
+    ok = lo >= m / math.sqrt(2) * (1 - EMBEDDING_SLACK) and hi <= m * (1 + EMBEDDING_SLACK)
     return {"property": "embedding", "trials": args.trials, "min_ratio": lo,
-            "max_ratio": hi, "lower_bound": m / np.sqrt(2), "upper_bound": float(m),
+            "max_ratio": hi, "lower_bound": m / math.sqrt(2), "upper_bound": float(m),
             "empirical_distortion": hi / lo, "pass": ok}, ok
 
 
@@ -204,6 +206,8 @@ def _cmd_design(args) -> tuple[dict, bool]:
 
 def _cmd_recover(args) -> tuple[dict, bool]:
     mat = matrix_core.read_cmx(args.file)
+    if not 1 <= args.s <= mat.cols:
+        raise RipforgeError(f"--s must lie in [1, {mat.cols}], got {args.s}")
     rng = np.random.default_rng(args.seed)
     support = rng.choice(mat.cols, size=args.s, replace=False)
     x0 = np.zeros(mat.cols,
@@ -287,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("file")
     c.add_argument("--kappa", default="auto", help="'auto' = sqrt(8 ln N), or a number")
     c.add_argument("--delta", type=float, default=None,
-                   help="also report embedding constants for this delta in (0,1)")
-    c.add_argument("--s", type=int, default=None, help="sparsity for the constants")
+                   help="with --s, also report embedding constants for this delta in (0,1)")
+    c.add_argument("--s", type=int, default=None, help="with --delta, the sparsity")
     c = cerf.add_parser("ric", description="Exact restricted isometry constant delta_s, "
                         "the largest spectral norm of an s x s block of the unit-column "
                         "Gram with its diagonal removed, over all s-subsets: delta_2 is "
@@ -360,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--s", type=int, required=True)
     rec.add_argument("--seed", type=_nonneg_int, required=True)
     rec.add_argument("--max-iter", type=int, default=500)
-    rec.add_argument("--tol", type=float, default=1e-10)
+    rec.add_argument("--tol", type=_nonneg_float, default=1e-10)
     rec.set_defaults(handler=_cmd_recover)
 
     return parser

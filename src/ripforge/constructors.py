@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CountExceedsFamily, InvalidModulus, InvalidParams, NoPrimeInRange
+from .errors import InvalidModulus, InvalidParams, NoPrimeInRange
 from .golomb import build_ruler
 from .matrix_core import Matrix
 from .num_theory import MAX_MODULUS, is_prime, prime_in_range
@@ -79,7 +79,7 @@ def _poly_values(p: int, d: int, n_cols: int | None = None) -> np.ndarray:
                                 f"columns than numpy can address")
         n_cols = place[-1]
     elif place[-1] < n_cols:
-        raise CountExceedsFamily(f"requested {n_cols} > family size p^(d+1) = {place[-1]}")
+        raise InvalidParams(f"requested {n_cols} > family size p^(d+1) = {place[-1]}")
     if n_cols > most:
         raise InvalidParams(f"a {p} x {n_cols} array is larger than numpy can address")
     place = np.array(place[:-1], dtype=np.int64)  # the places below N
@@ -105,7 +105,7 @@ def weil(p: int, d: int, n_cols: int | None = None) -> Matrix:
         raise InvalidParams(f"need 1 <= d < p, got d={d}, p={p}")
     if n_cols is not None and n_cols < 1:
         raise InvalidParams("need at least one column")
-    vals = _poly_values(p, d, n_cols)  # raises CountExceedsFamily if N > p^(d+1)
+    vals = _poly_values(p, d, n_cols)  # raises InvalidParams if N > p^(d+1)
     k = np.arange(p, dtype=np.int64)[:, None]
     phase = (k * vals) % p
     data = _unit_roots(p, phase) / np.sqrt(p)
@@ -234,7 +234,7 @@ def composed(s: int, n_cols: int, p_override: int | None = None) -> Matrix:
         clamped = n_cols <= p  # ln(N/p) <= 0 would give d <= 0
     d = _composed_degree(p, n_cols)
     left = golomb_phase(p)
-    right = weil(p, d, n_cols)  # raises CountExceedsFamily if N > p^(d+1)
+    right = weil(p, d, n_cols)  # raises InvalidParams if N > p^(d+1)
     data = left.data @ right.data
     meta = {"construction": "composed", "s": s, "N": n_cols, "p": p, "d": d,
             "m": left.rows, "d_clamped": clamped}

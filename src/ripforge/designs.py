@@ -34,8 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (InvalidParams, InvalidPointSet, ParseError, RipforgeError, TooLarge,
-                     UnsupportedK, ZeroRow)
+from .errors import InvalidParams, InvalidPointSet, ParseError, RipforgeError, TooLarge, ZeroRow
 from .matrix_core import Matrix, as_array, gram_strips, read_cmx, write_cmx
 
 UNIT_TOL = 1e-12
@@ -172,16 +171,14 @@ def design_defect(ps: WeightedPointSet, k: int) -> float:
     return gram_sum - delta_closed_form(ps.dim, k, ps.field_name)
 
 
-def tensor_defect_explicit(ps: WeightedPointSet, k: int = 1) -> float:
-    """|| sum_i tau_i x_i x_i* - I/n ||_F^2, materializing the moment matrix.
+def tensor_defect_explicit(ps: WeightedPointSet) -> float:
+    """|| sum_i tau_i x_i x_i* - I/n ||_F^2, materializing the k = 1 moment matrix.
 
     Only k = 1 admits a small explicit average (I/n); the function checks
     its result against design_defect(ps, 1) within 1e-10 and raises if the
     two disagree, serving as an independent verification of the Gram-sum
     identity.
     """
-    if k != 1:
-        raise UnsupportedK("the moment tensor is only materialized for k = 1")
     n = ps.dim
     if n > 64:
         raise TooLarge(f"explicit moment matrix capped at n <= 64, got n={n}")

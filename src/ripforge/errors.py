@@ -11,10 +11,6 @@ class NoPrimeInRange(RipforgeError):
     """The requested interval contains no prime."""
 
 
-class CountExceedsFamily(RipforgeError):
-    """More polynomials requested than the family p^(d+1) contains."""
-
-
 class InvalidModulus(RipforgeError):
     """Modulus is not an admissible prime for the construction."""
 
@@ -27,6 +23,10 @@ class InvalidParams(RipforgeError):
 
 class DimensionMismatch(RipforgeError):
     """Operand shapes are incompatible."""
+
+
+class TooLarge(RipforgeError):
+    """Exhaustive enumeration would exceed the desk-scale budget."""
 
 
 class NonFiniteEntry(RipforgeError):
@@ -47,10 +47,6 @@ class ParseError(RipforgeError):
 
 class NotUnimodular(RipforgeError):
     """An entry deviates from unit modulus beyond tolerance."""
-
-
-class TooManyColumns(RipforgeError):
-    """Quartic-cost identity requested on too wide a matrix."""
 
 
 class ZeroVector(RipforgeError):
@@ -76,22 +72,10 @@ class RoundsExhausted(RipforgeError):
         self.best = best
 
 
-class InvalidDelta(RipforgeError):
-    """delta must lie strictly inside (0, 1)."""
-
-
-class TooLarge(RipforgeError):
-    """Exhaustive enumeration would exceed the desk-scale budget."""
-
-
 # -- spherical designs --------------------------------------------------------
 
 class InvalidPointSet(RipforgeError):
     """Points are not unit vectors or weights are not a distribution."""
-
-
-class UnsupportedK(RipforgeError):
-    """Explicit moment tensor is only materialized for k = 1."""
 
 
 class ZeroRow(RipforgeError):

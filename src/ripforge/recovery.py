@@ -55,10 +55,11 @@ def iht(A, y, s: int, max_iter: int = 500, tol: float = 1e-10) -> RecoveryResult
     history: list[float] = []
     converged = False
     iterations = 0
+    residual = y - arr @ x
     for iterations in range(1, max_iter + 1):
-        residual = y - arr @ x
         x = hard_threshold(x + mu * (arr.conj().T @ residual), s)
-        res_norm = float(np.linalg.norm(y - arr @ x))
+        residual = y - arr @ x
+        res_norm = float(np.linalg.norm(residual))
         history.append(res_norm)
         if res_norm <= tol * y_norm:
             converged = True

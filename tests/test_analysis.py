@@ -4,8 +4,7 @@ import pytest
 from ripforge.analysis import (embedding_ratios, holder_floor, l2_identity,
                                l4_identity, quadruple_tensor)
 from ripforge.constructors import golomb_phase
-from ripforge.errors import (DimensionMismatch, NotUnimodular, TooManyColumns,
-                             ZeroVector)
+from ripforge.errors import DimensionMismatch, NotUnimodular, TooLarge, ZeroVector
 from ripforge.matrix_core import norm
 
 
@@ -117,9 +116,9 @@ def test_identity_preconditions():
     with pytest.raises(NotUnimodular):
         l4_identity(np.array([[0.5]]), np.ones(1))
     rng = np.random.default_rng(4)
-    with pytest.raises(TooManyColumns):
+    with pytest.raises(TooLarge, match="quadruple enumeration is quartic; r=33 > 32"):
         l4_identity(random_unimodular(rng, 2, 33), np.ones(33))
-    with pytest.raises(TooManyColumns):
+    with pytest.raises(TooLarge, match="quadruple enumeration is quartic; r=33 > 32"):
         quadruple_tensor(random_unimodular(rng, 2, 33))
     with pytest.raises(NotUnimodular):
         quadruple_tensor(np.array([[0.5]]))

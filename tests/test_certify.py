@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -10,8 +11,8 @@ from ripforge.certify import (CertReport, certify_sign_matrix, coherence, condit
                               las_vegas, probe_l1, theorem1_bound)
 from ripforge.constructors import (alltop, devore, golomb_phase, golomb_stacked,
                                    rademacher, weil)
-from ripforge.errors import (InvalidDelta, InvalidParams, NotSignMatrix,
-                             RoundsExhausted, TooLarge, ZeroColumn)
+from ripforge.errors import (InvalidParams, NotSignMatrix, RoundsExhausted, TooLarge,
+                             ZeroColumn)
 from ripforge.matrix_core import Matrix
 
 
@@ -213,9 +214,9 @@ def test_theorem1_bound_values():
     # the distortion bound tends to sqrt(3) as delta -> 0
     assert theorem1_bound(1.0, 1e-12, 1).distortion_bound == pytest.approx(
         math.sqrt(3), rel=1e-9)
-    with pytest.raises(InvalidDelta):
+    with pytest.raises(InvalidParams, match=r"delta=1.0 must lie in \(0, 1\)"):
         theorem1_bound(1.0, 1.0, 2)
-    with pytest.raises(InvalidDelta):
+    with pytest.raises(InvalidParams, match=r"delta=0.0 must lie in \(0, 1\)"):
         theorem1_bound(1.0, 0.0, 2)
 
 
@@ -409,9 +410,11 @@ def test_probe_l1_chunks_match_dense_referee(strip_budget):
 
 def test_certify_sign_matrix_report():
     mat, _ = las_vegas(64, 16, max_rounds=50, seed=4)
-    report = certify_sign_matrix(mat, delta=0.5, s=2)
+    report = certify_sign_matrix(mat)
+    assert len(dataclasses.fields(report)) == 9  # the certificate only; no Theorem 1
     assert report.cond_a_pass and report.cond_b_pass
     assert report.kappa == pytest.approx(default_kappa(16))
     assert report.coherence == pytest.approx(report.max_pair_sum / 64)
-    assert report.m_required == math.ceil(report.kappa**2 / 0.25 * 16)
-    assert report.distortion_bound == pytest.approx(report.beta / report.alpha)
+    bound = theorem1_bound(report.kappa, 0.5, 2)
+    assert bound.m_required == math.ceil(report.kappa**2 / 0.25 * 16)
+    assert bound.distortion_bound == pytest.approx(bound.beta / bound.alpha)

@@ -61,6 +61,19 @@ def test_certify_cond_pass_and_constants(tmp_path, capsys):
     assert "alpha" in report and "m_required" in report
 
 
+def test_certify_cond_delta_and_s_go_together(tmp_path, capsys):
+    path = str(tmp_path / "r.cmx")
+    assert run(["construct", "rademacher", "--m", "16", "--N", "4", "--seed", "0",
+                "-o", path]) == 0
+    capsys.readouterr()
+    for extra, message in ((["--delta", "0.5"], "--delta and --s must be given together"),
+                           (["--s", "2"], "--delta and --s must be given together"),
+                           (["--kappa", "-1"], "a finite number > 0, got '-1'")):
+        assert run(["certify", "cond", path, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
 def test_certify_cond_refuses_non_sign_matrix(tmp_path, capsys):
     path = str(tmp_path / "w.cmx")
     assert run(["construct", "weil", "--p", "3", "--d", "1", "-o", path]) == 0
@@ -91,7 +104,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                    ["composed", "--s", "1", "--N", "1" + "0" * 400, "--p", "3"],
                    ["composed", "--s", "1", "--N", "1" + "0" * 400]):
         assert run(["construct", *family, "-o", str(tmp_path / "w.cmx")]) == 2
-    for kappa in ("nan", "inf"):       # a non-finite threshold certifies nothing
+    # a non-finite threshold certifies nothing; Theorem 1 needs kappa > 0
+    for kappa in ("nan", "inf", "0", "-1"):
         assert run(["construct", "lasvegas", "--m", "64", "--N", "16", "--kappa", kappa,
                     "--seed", "1", "-o", str(tmp_path / "k.cmx")]) == 2
     capsys.readouterr()
@@ -206,6 +220,20 @@ def test_recover_roundtrip(tmp_path, capsys):
     code, report = run_json(capsys, ["recover", path, "--s", "2", "--seed", "3"])
     assert code == 0
     assert report["recovered"] is True and report["rel_error"] <= 1e-6
+
+
+def test_recover_refuses_bad_sparsity_and_tolerance(tmp_path, capsys):
+    path = str(tmp_path / "r.cmx")
+    assert run(["construct", "rademacher", "--m", "32", "--N", "8", "--seed", "0",
+                "-o", path]) == 0
+    capsys.readouterr()
+    for s in ("9", "-1", "0"):              # outside [1, N]: no support to draw
+        assert run(["recover", path, "--s", s, "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--s must lie in [1, 8]" in captured.err
+    for tol in ("nan", "inf", "-1"):        # a NaN tolerance never converges
+        assert run(["recover", path, "--s", "2", "--seed", "1", "--tol", tol]) == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_design_pipeline(tmp_path, capsys):

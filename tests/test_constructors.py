@@ -3,7 +3,7 @@ import pytest
 
 from ripforge.constructors import (alltop, composed, devore, golomb_phase,
                                    golomb_stacked, rademacher, weil)
-from ripforge.errors import CountExceedsFamily, InvalidModulus, InvalidParams
+from ripforge.errors import InvalidModulus, InvalidParams
 from ripforge.golomb import build_ruler
 from ripforge.matrix_core import read_cmx, write_cmx
 
@@ -43,7 +43,7 @@ def test_weil_rejects_large_degree():
         weil(3, 3)
     with pytest.raises(InvalidParams):
         weil(4, 1)
-    with pytest.raises(CountExceedsFamily):
+    with pytest.raises(InvalidParams, match=r"requested 10 > family size p\^\(d\+1\) = 9"):
         weil(3, 1, 10)
 
 
@@ -63,7 +63,7 @@ def test_polynomial_families_refuse_oversized_input(monkeypatch):
         devore(101, 9)
     with pytest.raises(InvalidParams):  # refused without forming p^(d+1), 20 Mbit here
         weil(1000003, 1000002)
-    with pytest.raises(CountExceedsFamily):
+    with pytest.raises(InvalidParams, match=r"> family size p\^\(d\+1\) = "):
         weil(101, 10, 101**11 + 1)
 
 

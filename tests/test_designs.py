@@ -7,7 +7,7 @@ from ripforge.constructors import alltop, devore, golomb_stacked, rademacher, we
 from ripforge.designs import (EpsilonChain, WeightedPointSet, delta_closed_form,
                               delta_monte_carlo, design_defect, matrix_to_design,
                               read_design, tensor_defect_explicit, write_design)
-from ripforge.errors import InvalidParams, InvalidPointSet, ParseError, UnsupportedK, ZeroRow
+from ripforge.errors import InvalidParams, InvalidPointSet, ParseError, ZeroRow
 from ripforge.matrix_core import Matrix, write_cmx
 
 
@@ -128,8 +128,6 @@ def test_tensor_defect_explicit_agrees_with_gram_sum():
     assert tensor_defect_explicit(ps) == pytest.approx(design_defect(ps, 1), abs=1e-12)
     basis = WeightedPointSet(np.eye(4), np.ones(4) / 4)
     assert tensor_defect_explicit(basis) <= 1e-14
-    with pytest.raises(UnsupportedK):
-        tensor_defect_explicit(ps, k=2)
 
 
 def test_matrix_to_design_identity_rows():
