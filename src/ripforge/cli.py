@@ -269,12 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--max-rounds", type=int, default=64)
     c.add_argument("--seed", type=_nonneg_int, required=True)
     c = conf.add_parser("composed", description="Golomb-ruler phase matrix times Weil "
-                        "matrix: an explicit l2 -> l1 embedding on s-sparse vectors "
-                        "with distortion at most 2 in its feasible regime.")
+                        "matrix: an explicit l2 -> l1 embedding on s-sparse vectors.")
     c.add_argument("--s", type=int, required=True, help="target sparsity")
     c.add_argument("--N", type=int, required=True, help="ambient dimension (columns)")
-    c.add_argument("--p", type=int, default=None,
-                   help="prime override when the asymptotic parameter chain is infeasible")
+    c.add_argument("--p", type=int, required=True, help="prime >= 3")
     for p_ in conf.choices.values():
         p_.add_argument("-o", "--output", required=True, help="output CMX path")
     con.set_defaults(handler=_cmd_construct)

@@ -14,7 +14,7 @@ Deterministic families:
   fourth-order column products.
 * ``golomb_stacked(p)`` -- the (m+p) x p stack [(2m)^(-1/4) A ; 2^(-1/4) I]
   that embeds l2^p isometrically into l4^(m+p).
-* ``composed(s, N)``  -- golomb_phase(p) @ weil(p, d, N), the explicit
+* ``composed(s, N, p)`` -- golomb_phase(p) @ weil(p, d, N), the explicit
   l2 -> l1 embedding on s-sparse vectors.
 
 The only randomized family is ``rademacher``; it is fully determined by
@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidModulus, InvalidParams, NoPrimeInRange
+from .errors import InvalidModulus, InvalidParams
 from .golomb import build_ruler
 from .matrix_core import Matrix
-from .num_theory import MAX_MODULUS, is_prime, prime_in_range
+from .num_theory import MAX_MODULUS, is_prime
 
 TWO_PI = 2.0 * np.pi
 # Most complex128 entries one numpy array can address; below this a p x N
@@ -198,40 +198,24 @@ def _composed_degree(p: int, n_cols: int) -> int:
     return d
 
 
-def composed(s: int, n_cols: int, p_override: int | None = None) -> Matrix:
+def composed(s: int, n_cols: int, p_override: int) -> Matrix:
     """golomb_phase(p) @ weil(p, d, N): an l2 -> l1 embedding on s-sparse vectors.
 
-    Without an override, p is the smallest prime in
-    [9 s^2 ceil(ln^2 N), 18 s^2 ceil(ln^2 N)] and the asymptotic
-    feasibility conditions N > p^2 and p^p >= N must hold; at desk scale
-    they rarely do, and the error says which prime range would be needed
-    rather than silently substituting different constants.  With
-    p_override, any prime p >= 3 is accepted and d = ceil(ln(N/p)/ln p)
-    is clamped to >= 1 (recorded in meta).
+    p = p_override may be any prime >= 3.  The paper takes p as the smallest
+    prime in [9 s^2 ceil(ln^2 N), 18 s^2 ceil(ln^2 N)] and needs N > p^2 and
+    p^p >= N.  That chain first holds near N = 4.53e6 (p = 2129) at s = 1,
+    where the dense 27e6 x N complex matrix would take about 1800 TiB, so p
+    is an input.  The degree d = ceil(ln(N/p) / ln p) is clamped to >= 1,
+    and the clamp is recorded in meta.
     """
     if s < 1 or n_cols < 1:
         raise InvalidParams("need s >= 1 and N >= 1")
-    if n_cols > _MAX_ENTRIES:  # before ln N turns the integer into a float
+    if n_cols > _MAX_ENTRIES:  # also bounds the loop in _composed_degree
         raise InvalidParams(f"N={n_cols} columns are more than numpy can address")
-    if p_override is None:
-        bound = 9 * s * s * int(np.ceil(np.log(n_cols) ** 2))
-        try:
-            p = prime_in_range(bound, 2 * bound)
-        except (NoPrimeInRange, ValueError):
-            raise InvalidParams(
-                f"parameter chain infeasible: no prime in [{bound}, {2 * bound}]; "
-                f"pass p_override to choose p directly") from None
-        if not (n_cols > p * p and p**p >= n_cols):
-            raise InvalidParams(
-                f"parameter chain infeasible at this scale: the smallest prime in "
-                f"[{bound}, {2 * bound}] is p={p} but N={n_cols} must exceed p^2={p * p} "
-                f"(and satisfy p^p >= N); pass p_override to choose p directly")
-        clamped = False
-    else:
-        p = p_override
-        if p < 3 or not is_prime(p):
-            raise InvalidModulus(f"p_override={p} must be a prime >= 3")
-        clamped = n_cols <= p  # ln(N/p) <= 0 would give d <= 0
+    p = p_override
+    if p < 3 or not is_prime(p):
+        raise InvalidModulus(f"p_override={p} must be a prime >= 3")
+    clamped = n_cols <= p  # ln(N/p) <= 0 would give d <= 0
     d = _composed_degree(p, n_cols)
     left = golomb_phase(p)
     right = weil(p, d, n_cols)  # raises InvalidParams if N > p^(d+1)

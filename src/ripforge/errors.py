@@ -7,10 +7,6 @@ class RipforgeError(Exception):
 
 # -- number theory -----------------------------------------------------------
 
-class NoPrimeInRange(RipforgeError):
-    """The requested interval contains no prime."""
-
-
 class InvalidModulus(RipforgeError):
     """Modulus is not an admissible prime for the construction."""
 

@@ -1,18 +1,13 @@
-"""Primes for the finite-field constructions.
+"""Primality for the finite-field constructions.
 
-Everything here is deterministic by design: primality uses a fixed
-Miller-Rabin witness set that is provably correct for all 64-bit inputs,
-and prime search returns the smallest qualifying prime.  The matrix
-constructions built on top inherit their reproducibility from these
-choices.  prime_in_range refuses primes above MAX_MODULUS, and so do the
-polynomial families weil and devore: below it their int64 products of two
-residues stay exact, and above it the Golomb ruler's Python loop over p
-marks is out of reach.
+is_prime uses a fixed Miller-Rabin witness set that is provably correct
+for all 64-bit inputs, so it is deterministic.  The polynomial families
+weil and devore refuse primes above MAX_MODULUS: below it their int64
+products of two residues stay exact, and above it the Golomb ruler's
+Python loop over p marks is out of reach.
 """
 
 from __future__ import annotations
-
-from .errors import InvalidModulus, NoPrimeInRange
 
 # Strong-pseudoprime witnesses; deterministic for all n < 3.317e24,
 # which covers the full 64-bit range (Sorenson & Webster).
@@ -45,20 +40,3 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def prime_in_range(lo: int, hi: int) -> int:
-    """Smallest prime in the closed interval [lo, hi].
-
-    Smallest-first is a tie-breaking convention: any prime in the interval
-    would do mathematically, but a fixed choice keeps downstream
-    constructions reproducible.
-    """
-    if lo > hi:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    for n in range(max(lo, 2), hi + 1):
-        if is_prime(n):
-            if n > MAX_MODULUS:
-                raise InvalidModulus(f"p={n} exceeds the supported cap {MAX_MODULUS}")
-            return n
-    raise NoPrimeInRange(f"no prime in [{lo}, {hi}]")

@@ -101,8 +101,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                    ["golomb", "--p", "2147483647"],         # int64 phases overflow
                    ["golomb-stacked", "--p", "2147483647"],
                    ["composed", "--s", "1", "--N", "10", "--p", "2147483647"],
-                   ["composed", "--s", "1", "--N", "1" + "0" * 400, "--p", "3"],
-                   ["composed", "--s", "1", "--N", "1" + "0" * 400]):
+                   ["composed", "--s", "1", "--N", "1" + "0" * 400, "--p", "3"]):
         assert run(["construct", *family, "-o", str(tmp_path / "w.cmx")]) == 2
     # a non-finite threshold certifies nothing; Theorem 1 needs kappa > 0
     for kappa in ("nan", "inf", "0", "-1"):
@@ -205,11 +204,25 @@ def test_certify_ric_within_its_coherence_bound(tmp_path, capsys):
     assert report["delta_s"] <= report["s_mu_bound"]
 
 
-def test_composed_without_override_exits_2(capsys):
-    code = run(["construct", "composed", "--s", "1", "--N", "20", "-o", "/tmp/c.cmx"])
+def test_verify_identities_passes_at_every_seed(tmp_path, capsys):
+    # p = 31 is the widest golomb file the quartic check accepts; its gaps are
+    # roundoff of values near 1.5e7 and must stay under the gate at any seed
+    path = str(tmp_path / "g31.cmx")
+    assert run(["construct", "golomb", "--p", "31", "-o", path]) == 0
+    capsys.readouterr()
+    for seed in range(1, 9):
+        code, report = run_json(capsys, ["verify", "identities", path, "--seed", str(seed),
+                                         "--trials", "16"])
+        assert code == 0 and report["max_gap"] <= 1e-8, seed
+
+
+def test_composed_without_override_exits_2(tmp_path, capsys):
+    code = run(["construct", "composed", "--s", "1", "--N", "20",
+                "-o", str(tmp_path / "c.cmx")])
     err = capsys.readouterr().err
     assert code == 2
-    assert "p_override" in err
+    assert "--p" in err
+    assert not (tmp_path / "c.cmx").exists()
 
 
 def test_recover_roundtrip(tmp_path, capsys):

@@ -218,7 +218,11 @@ def test_golomb_stacked_exact_l4_isometry(p):
 def test_composed_desk_scale_instance(poly_value):
     mat = composed(1, 20, p_override=3)
     assert mat.data.shape == (37, 20)
-    assert mat.meta["p"] == 3 and mat.meta["d"] == 2
+    assert mat.meta == {"construction": "composed", "s": 1, "N": 20, "p": 3, "d": 2,
+                        "m": 37, "d_clamped": False}
+    assert composed(2, 400, p_override=7).meta == {
+        "construction": "composed", "s": 2, "N": 400, "p": 7, "d": 3, "m": 253,
+        "d_clamped": False}
 
     # oracle: evaluate the closed-form entry sum directly
     marks = build_ruler(3).marks
@@ -258,11 +262,7 @@ def test_composed_degree_is_exact_at_powers_of_p():
         assert composed(1, n, p_override=p).meta["d"] == d, (p, n)
 
 
-def test_composed_infeasible_chain_names_the_range():
-    with pytest.raises(InvalidParams, match=r"p_override"):
-        composed(1, 20)
-    with pytest.raises(InvalidParams):
-        composed(1, 1)  # empty prime interval, still an InvalidParams
+def test_composed_rejects_composite_p():
     with pytest.raises(InvalidModulus):
         composed(1, 20, p_override=4)
 

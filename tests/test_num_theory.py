@@ -1,7 +1,6 @@
 import pytest
 
-from ripforge.errors import InvalidModulus, NoPrimeInRange
-from ripforge.num_theory import is_prime, prime_in_range
+from ripforge.num_theory import is_prime
 
 
 def trial_division(n):
@@ -36,30 +35,3 @@ def test_is_prime_matches_trial_division():
 ])
 def test_is_prime_64bit_edge_cases(n, expected):
     assert is_prime(n) == expected
-
-
-def test_prime_in_range_examples():
-    assert prime_in_range(10, 20) == 11
-    assert prime_in_range(9, 18) == 11
-    with pytest.raises(NoPrimeInRange):
-        prime_in_range(24, 28)
-    with pytest.raises(ValueError):
-        prime_in_range(20, 10)
-    with pytest.raises(InvalidModulus):  # 2^31 + 11 is prime but above MAX_MODULUS
-        prime_in_range(2**31, 2**31 + 100)
-
-
-def test_bertrand_interval_always_contains_a_prime():
-    for a in range(1, 2000):
-        assert prime_in_range(a, 2 * a) <= 2 * a
-    import random
-    rnd = random.Random(0)
-    for _ in range(200):
-        a = rnd.randrange(2000, 10**6)
-        p = prime_in_range(a, 2 * a)
-        assert a <= p <= 2 * a and is_prime(p)
-
-
-def test_prime_in_range_returns_smallest():
-    assert prime_in_range(2, 100) == 2
-    assert prime_in_range(90, 100) == 97
