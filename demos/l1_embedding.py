@@ -44,7 +44,7 @@ print(f"  ||y||_1 = {np.abs(y).sum():.3f} >= ||y||_2^3/||y||_4^2 = "
 
 print()
 print("Composed construction (ambient N = 20, sparsity s = 1, prime p = 3):")
-mat = composed(1, 20, p_override=3)
+mat = composed(1, 20, p=3)
 print(f"  matrix is {mat.rows} x {mat.cols}, built as a {mat.rows} x 3 phase factor "
       f"times a 3 x 20 polynomial factor (degree <= {mat.meta['d']})")
 report = probe_l1(mat, 1, trials=5000, seed=2)

@@ -12,12 +12,11 @@ For B in C^(q x r) with |B_{j,k}| = 1 and any x in C^r, expanding
 with pair sums P(k,k') = sum_j conj(B_{j,k}) B_{j,k'} and
 Q(k,k') = sum_j conj(B_{j,k})^2 B_{j,k'}^2.  S1 runs over ordered pairs
 of ordered pairs (k != k') != (l != l'); S2 additionally excludes the
-swapped coincidence (k != k') = (l' != l).  These quadruple sums are
-enumerated exactly as stated (vectorized over the full index grid with
-boolean masks, no symmetry shortcuts), so the functions here serve as
-oracles for the matrix constructions.  quadruple_tensor holds the
-x-independent part of S1 and S2 for checking many vectors against one
-matrix; l4_identity without it stays the oracle for that path.
+swapped coincidence (k != k') = (l' != l).  quadruple_tensor holds the
+x-independent part of S1 and S2: the inner sums over j on the S1 index
+set, accumulated by blocks of rows, with no symmetry shortcuts.  Each
+sum is then two products of that tensor with weights built from x, so
+one tensor serves every vector checked against the same matrix.
 
 The l1 floor ||y||_1 >= ||y||_2^3 / ||y||_4^2 (Holder with exponents
 3 and 3/2 applied to |y_i|^(2/3) * |y_i)^(4/3)) turns an upper l4 bound
@@ -90,25 +89,6 @@ def l2_identity(B, x) -> IdentityReport:
                           abs_gap=float(abs(direct - formula)))
 
 
-def _quadruple_sums(B: np.ndarray, x: np.ndarray) -> tuple[complex, complex]:
-    """S1 and S2 enumerated over the stated ordered-pair index sets."""
-    q, r = B.shape
-    prods = np.einsum("jk,jl->jkl", B.conj(), B).reshape(q, r * r)
-    quad = (prods.T @ prods.conj()).reshape(r, r, r, r)   # T(k,k',l,l')
-    w_left = np.outer(x.conj(), x).reshape(r * r)
-    w_right = np.outer(x, x.conj()).reshape(r * r)
-    weighted = (np.outer(w_left, w_right)).reshape(r, r, r, r) * quad
-
-    k = np.arange(r)[:, None, None, None]
-    kp = np.arange(r)[None, :, None, None]
-    l = np.arange(r)[None, None, :, None]
-    lp = np.arange(r)[None, None, None, :]
-    pairs_ok = (k != kp) & (l != lp)
-    mask1 = pairs_ok & ~((k == l) & (kp == lp))
-    mask2 = mask1 & ~((k == lp) & (kp == l))
-    return complex(weighted[mask1].sum()), complex(weighted[mask2].sum())
-
-
 def quadruple_tensor(B) -> np.ndarray:
     """T(k,k',l,l') = sum_j conj(B_{j,k}) B_{j,k'} B_{j,l} conj(B_{j,l'}) on the
     S1 index set, zero elsewhere, as an r^2 x r^2 array indexed by (k,k'), (l,l').
@@ -152,24 +132,20 @@ def l4_identity(B, x, tensor=None) -> IdentityReport:
     """Check ||Bx||_4^4 against both quadruple-sum expansions.
 
     `formula_value` uses the S1 form, `formula_value_split` the form that
-    isolates the squared-pair sum and S2; both gaps are reported.  Without
-    a tensor the quadruple sums are enumerated over the full index grid (the
-    oracle); with quadruple_tensor(B) they are two products with it.
+    isolates the squared-pair sum and S2; both gaps are reported.  Both sums
+    come from quadruple_tensor(B), built here when no tensor is passed.
     """
     B = np.asarray(as_array(B), dtype=np.complex128)
     _check_unimodular(B)
     x = _check_x(B, x)
     q, r = B.shape
-    if r > MAX_QUARTIC_COLS:
-        raise TooLarge(f"quadruple enumeration is quartic; r={r} > {MAX_QUARTIC_COLS}")
+    if tensor is None:
+        tensor = quadruple_tensor(B)
 
     y = B @ x
     direct = _power_sum(y, 4)
     common = 2.0 * _power_sum(x, 2) * _power_sum(y, 2) - q * _power_sum(x, 4)
-    if tensor is None:
-        sigma1, sigma2 = _quadruple_sums(B, x)
-    else:
-        sigma1, sigma2 = _tensor_sums(tensor, x)
+    sigma1, sigma2 = _tensor_sums(tensor, x)
 
     square_pairs = (B.conj() ** 2).T @ (B**2)             # Q(k, k')
     w_sq = np.outer(x.conj() ** 2, x**2)

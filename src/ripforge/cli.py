@@ -41,13 +41,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError("must be a finite nonnegative number")
-    return value
-
-
 def _emit(report: dict) -> None:
     print(json.dumps(report, sort_keys=True, allow_nan=False))
 
@@ -92,7 +85,7 @@ def _cmd_construct(args) -> tuple[dict, bool]:
                                         max_rounds=args.max_rounds, seed=args.seed)
         extra = {"rounds_used": rounds, "kappa": kappa}
     else:  # composed
-        mat = constructors.composed(args.s, args.N, p_override=args.p)
+        mat = constructors.composed(args.s, args.N, p=args.p)
     matrix_core.write_cmx(mat, args.output)
     report = {"construction": mat.meta.get("construction"), "rows": mat.rows,
               "cols": mat.cols, "field": mat.field_name, "path": args.output}
@@ -214,7 +207,7 @@ def _cmd_recover(args) -> tuple[dict, bool]:
                   dtype=np.complex128 if mat.field_name == "complex" else np.float64)
     x0[support] = _random_vector(rng, args.s, mat.field_name == "complex")
     y = mat.data @ x0
-    result = recovery.iht(mat, y, args.s, max_iter=args.max_iter, tol=args.tol)
+    result = recovery.iht(mat, y, args.s)
     rel_error = float(np.linalg.norm(result.estimate - x0) / np.linalg.norm(x0))
     ok = rel_error <= RECOVERY_TOL
     return {"s": args.s, "iterations": result.iterations, "converged": result.converged,
@@ -361,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("file")
     rec.add_argument("--s", type=int, required=True)
     rec.add_argument("--seed", type=_nonneg_int, required=True)
-    rec.add_argument("--max-iter", type=int, default=500)
-    rec.add_argument("--tol", type=_nonneg_float, default=1e-10)
     rec.set_defaults(handler=_cmd_recover)
 
     return parser

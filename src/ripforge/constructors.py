@@ -198,23 +198,22 @@ def _composed_degree(p: int, n_cols: int) -> int:
     return d
 
 
-def composed(s: int, n_cols: int, p_override: int) -> Matrix:
+def composed(s: int, n_cols: int, p: int) -> Matrix:
     """golomb_phase(p) @ weil(p, d, N): an l2 -> l1 embedding on s-sparse vectors.
 
-    p = p_override may be any prime >= 3.  The paper takes p as the smallest
-    prime in [9 s^2 ceil(ln^2 N), 18 s^2 ceil(ln^2 N)] and needs N > p^2 and
-    p^p >= N.  That chain first holds near N = 4.53e6 (p = 2129) at s = 1,
-    where the dense 27e6 x N complex matrix would take about 1800 TiB, so p
-    is an input.  The degree d = ceil(ln(N/p) / ln p) is clamped to >= 1,
-    and the clamp is recorded in meta.
+    p may be any prime >= 3.  The paper takes p as the smallest prime in
+    [9 s^2 ceil(ln^2 N), 18 s^2 ceil(ln^2 N)] and needs N > p^2 and p^p >= N.
+    That chain first holds near N = 4.53e6 (p = 2129) at s = 1, where the
+    dense 27e6 x N complex matrix would take about 1800 TiB, so p is an input.
+    The degree d = ceil(ln(N/p) / ln p) is clamped to >= 1, and the clamp is
+    recorded in meta.
     """
     if s < 1 or n_cols < 1:
         raise InvalidParams("need s >= 1 and N >= 1")
     if n_cols > _MAX_ENTRIES:  # also bounds the loop in _composed_degree
         raise InvalidParams(f"N={n_cols} columns are more than numpy can address")
-    p = p_override
     if p < 3 or not is_prime(p):
-        raise InvalidModulus(f"p_override={p} must be a prime >= 3")
+        raise InvalidModulus(f"p={p} must be a prime >= 3")
     clamped = n_cols <= p  # ln(N/p) <= 0 would give d <= 0
     d = _composed_degree(p, n_cols)
     left = golomb_phase(p)

@@ -57,6 +57,22 @@ def _dense_defect(ps, k: int) -> float:
             - delta_closed_form(ps.dim, k, ps.field_name))
 
 
+def _grid_quadruple_sums(B: np.ndarray, x: np.ndarray) -> tuple[complex, complex]:
+    """S1 and S2 over the full r^4 index grid, each index set cut out by a
+    boolean mask exactly as stated, from one dense q x r^2 pair product."""
+    q, r = B.shape
+    prods = np.einsum("jk,jl->jkl", B.conj(), B).reshape(q, r * r)
+    quad = (prods.T @ prods.conj()).reshape(r, r, r, r)   # T(k,k',l,l')
+    w_left = np.outer(x.conj(), x).reshape(r * r)
+    w_right = np.outer(x, x.conj()).reshape(r * r)
+    weighted = np.outer(w_left, w_right).reshape(r, r, r, r) * quad
+
+    k, kp, l, lp = np.ix_(*[np.arange(r)] * 4)
+    mask1 = (k != kp) & (l != lp) & ~((k == l) & (kp == lp))
+    mask2 = mask1 & ~((k == lp) & (kp == l))
+    return complex(weighted[mask1].sum()), complex(weighted[mask2].sum())
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -170,6 +186,12 @@ def subset_ric():
 def dense_defect():
     """Dense referee for the Gram-strip sum behind design_defect."""
     return _dense_defect
+
+
+@pytest.fixture
+def grid_quadruple_sums():
+    """Full-grid referee for the S1/S2 sums that l4_identity takes from quadruple_tensor."""
+    return _grid_quadruple_sums
 
 
 @pytest.fixture

@@ -229,7 +229,7 @@ def test_criterion_10_designs():
 
 def test_criterion_11_composed_construction(poly_value):
     with criterion(11, "composed construction at p=3, N=20, s=1"):
-        mat = composed(1, 20, p_override=3)
+        mat = composed(1, 20, p=3)
         product = golomb_phase(3).data @ weil(3, 2, 20).data
         assert np.max(np.abs(mat.data - product)) <= 1e-10 * np.max(np.abs(product))
 

@@ -83,30 +83,35 @@ def test_identity_gaps_at_contract_scale():
         assert l2_identity(B, x).abs_gap <= 1e-8
 
 
-def test_quadruple_sums_match_loop_oracle():
+def test_quadruple_sums_match_loop_oracle(grid_quadruple_sums):
     rng = np.random.default_rng(3)
     B = random_unimodular(rng, 4, 4)
     x = random_x(rng, 4)
     s1_oracle, s2_oracle = quadruple_sums_loop_oracle(B, x)
-    for rep in (l4_identity(B, x), l4_identity(B, x, quadruple_tensor(B))):
-        assert abs(rep.sigma1 - s1_oracle) <= 1e-10
-        assert abs(rep.sigma2 - s2_oracle) <= 1e-10
-        # the split form ties the two sums together through the squared-pair term
-        assert rep.formula_value == pytest.approx(rep.formula_value_split, abs=1e-9)
+    rep = l4_identity(B, x)
+    for s1, s2 in (grid_quadruple_sums(B, x), (rep.sigma1, rep.sigma2)):
+        assert abs(s1 - s1_oracle) <= 1e-10
+        assert abs(s2 - s2_oracle) <= 1e-10
+    # the split form ties the two sums together through the squared-pair term
+    assert rep.formula_value == pytest.approx(rep.formula_value_split, abs=1e-9)
 
 
-def test_hoisted_tensor_agrees_with_oracle():
+def test_hoisted_tensor_agrees_with_oracle(grid_quadruple_sums):
     # golomb(19) spans several row blocks of the tensor; golomb(5) is the block
-    # of golomb_stacked(5) that l4_identity accepts (the stack is not unimodular)
+    # of golomb_stacked(5) that l4_identity accepts (the stack is not unimodular);
+    # golomb columns are orthogonal, so only the random matrix, whose pair sums
+    # are not zero, shows an unmasked k = k' or l = l' entry
     rng = np.random.default_rng(6)
-    for B in (golomb_phase(19), golomb_phase(5)):
+    unimodular = random_unimodular(np.random.default_rng(7), 600, 10)
+    for B in (golomb_phase(19).data, golomb_phase(5).data, unimodular):
         tensor = quadruple_tensor(B)
         for _ in range(8):
-            x = random_x(rng, B.cols)
-            oracle, hoisted = l4_identity(B, x), l4_identity(B, x, tensor)
-            scale = 1e-12 * oracle.direct_value
-            assert abs(hoisted.abs_gap - oracle.abs_gap) <= scale
-            assert abs(hoisted.abs_gap_split - oracle.abs_gap_split) <= scale
+            x = random_x(rng, B.shape[1])
+            s1, s2 = grid_quadruple_sums(B, x)
+            hoisted = l4_identity(B, x, tensor)
+            scale = 1e-12 * hoisted.direct_value
+            assert abs(hoisted.sigma1 - s1) <= scale
+            assert abs(hoisted.sigma2 - s2) <= scale
             assert hoisted.abs_gap <= 1e-8 and hoisted.abs_gap_split <= 1e-8
 
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from ripforge import certify
-from ripforge.certify import (CertReport, certify_sign_matrix, coherence, condition_a,
-                              condition_b, default_kappa, derive_subseed, exact_ric,
-                              las_vegas, probe_l1, theorem1_bound)
+from ripforge.certify import (CertReport, ConditionCheck, certify_sign_matrix, coherence,
+                              condition_a, condition_b, default_kappa, derive_subseed,
+                              exact_ric, las_vegas, probe_l1, theorem1_bound)
 from ripforge.constructors import (alltop, devore, golomb_phase, golomb_stacked,
                                    rademacher, weil)
 from ripforge.errors import (InvalidParams, NotSignMatrix, RoundsExhausted, TooLarge,
@@ -52,6 +52,10 @@ def test_condition_a_examples():
     assert not check.passed
     assert check.max_sum == 100 and check.threshold == pytest.approx(50.0)
     assert check.witness == (0, 1)
+
+    # one column has no pairs: the check passes vacuously
+    column = Matrix(np.resize([1.0, -1.0], (9, 1)))
+    assert condition_a(column, kappa=2.0) == ConditionCheck(True, 0, None, 6.0)
 
     with pytest.raises(NotSignMatrix):
         condition_a(Matrix(np.array([[0.5, 1.0]])), kappa=1.0)

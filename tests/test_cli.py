@@ -68,7 +68,8 @@ def test_certify_cond_delta_and_s_go_together(tmp_path, capsys):
     capsys.readouterr()
     for extra, message in ((["--delta", "0.5"], "--delta and --s must be given together"),
                            (["--s", "2"], "--delta and --s must be given together"),
-                           (["--kappa", "-1"], "a finite number > 0, got '-1'")):
+                           (["--kappa", "-1"], "a finite number > 0, got '-1'"),
+                           (["--kappa", "abc"], "a finite number > 0, got 'abc'")):
         assert run(["certify", "cond", path, *extra]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
@@ -198,10 +199,20 @@ def test_certify_ric_within_its_coherence_bound(tmp_path, capsys):
     code, report = run_json(capsys, ["certify", "ric", path, "--s", "2"])
     assert code == 0
     assert report["delta_s"] == report["coherence"] <= report["s_mu_bound"]
+    mu = report["coherence"]
     code, report = run_json(capsys, ["certify", "ric", path, "--s", "3"])
     assert code == 0
     assert report["delta_s"] <= 2 * report["coherence"] * (1 + 1e-12)
     assert report["delta_s"] <= report["s_mu_bound"]
+    code, report = run_json(capsys, ["certify", "coherence", path])
+    assert code == 0 and report["coherence"] == mu
+    # alltop's coherence is exactly 1/sqrt(m)
+    alltop = str(tmp_path / "a.cmx")
+    assert run(["construct", "alltop", "--m", "7", "-o", alltop]) == 0
+    capsys.readouterr()
+    code, report = run_json(capsys, ["certify", "coherence", alltop])
+    assert code == 0
+    assert report["coherence"] == pytest.approx(1 / np.sqrt(7), rel=1e-14)
 
 
 def test_verify_identities_passes_at_every_seed(tmp_path, capsys):
@@ -244,9 +255,10 @@ def test_recover_refuses_bad_sparsity_and_tolerance(tmp_path, capsys):
         assert run(["recover", path, "--s", s, "--seed", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--s must lie in [1, 8]" in captured.err
-    for tol in ("nan", "inf", "-1"):        # a NaN tolerance never converges
-        assert run(["recover", path, "--s", "2", "--seed", "1", "--tol", tol]) == 2
-        assert capsys.readouterr().out == ""
+    for flag in ("--tol", "--max-iter"):    # iht's stopping rule is fixed
+        assert run(["recover", path, "--s", "2", "--seed", "1", flag, "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unrecognized arguments: {flag}" in captured.err
 
 
 def test_design_pipeline(tmp_path, capsys):

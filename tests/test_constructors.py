@@ -148,7 +148,7 @@ def test_golomb_phase_shape_and_zero_row():
     # reaches 2^63 at p = 26756, so int64 phases are refused from there on
     assert (6 * 26755**2 - 6 * 26755 + 1) * (3 * 26755**2 - 3 * 26755 + 1) < 2**63
     for p in (26759, 2147483647):  # the first prime past the bound, and MAX_MODULUS
-        for make in (golomb_phase, golomb_stacked, lambda p: composed(1, 10, p_override=p)):
+        for make in (golomb_phase, golomb_stacked, lambda p: composed(1, 10, p=p)):
             with pytest.raises(InvalidModulus, match="2\\^63"):
                 make(p)
 
@@ -216,11 +216,11 @@ def test_golomb_stacked_exact_l4_isometry(p):
 # -- composed ----------------------------------------------------------------------
 
 def test_composed_desk_scale_instance(poly_value):
-    mat = composed(1, 20, p_override=3)
+    mat = composed(1, 20, p=3)
     assert mat.data.shape == (37, 20)
     assert mat.meta == {"construction": "composed", "s": 1, "N": 20, "p": 3, "d": 2,
                         "m": 37, "d_clamped": False}
-    assert composed(2, 400, p_override=7).meta == {
+    assert composed(2, 400, p=7).meta == {
         "construction": "composed", "s": 2, "N": 400, "p": 7, "d": 3, "m": 253,
         "d_clamped": False}
 
@@ -238,13 +238,13 @@ def test_composed_desk_scale_instance(poly_value):
 
 
 def test_composed_equals_factor_product():
-    mat = composed(1, 20, p_override=3)
+    mat = composed(1, 20, p=3)
     prod = golomb_phase(3).data @ weil(3, 2, 20).data
     np.testing.assert_allclose(mat.data, prod, rtol=1e-12, atol=0)
 
 
 def test_composed_row_consistency_with_matvec():
-    mat = composed(1, 20, p_override=3)
+    mat = composed(1, 20, p=3)
     left = golomb_phase(3).data
     right = weil(3, 2, 20).data
     for j in (0, 5, 36):
@@ -252,19 +252,19 @@ def test_composed_row_consistency_with_matvec():
 
 
 def test_composed_degree_clamped_when_n_small():
-    mat = composed(1, 3, p_override=5)
+    mat = composed(1, 3, p=5)
     assert mat.meta["d"] == 1 and mat.meta["d_clamped"] is True
 
 
 def test_composed_degree_is_exact_at_powers_of_p():
     # ceil(ln(N/p) / ln p) at N = p^(d+1) is d; a float log rounded it up
     for p, n, d in ((5, 625, 3), (5, 626, 4), (3, 9, 1), (3, 10, 2)):
-        assert composed(1, n, p_override=p).meta["d"] == d, (p, n)
+        assert composed(1, n, p=p).meta["d"] == d, (p, n)
 
 
 def test_composed_rejects_composite_p():
-    with pytest.raises(InvalidModulus):
-        composed(1, 20, p_override=4)
+    with pytest.raises(InvalidModulus, match="p=4 must be a prime"):
+        composed(1, 20, p=4)
 
 
 # -- phase kernel -------------------------------------------------------------------
@@ -312,7 +312,7 @@ def test_phase_kernel_is_bit_identical_to_direct_formula(family, arg, poly_value
     lambda: rademacher(4, 6, seed=9),
     lambda: weil(3, 1),
     lambda: golomb_phase(3),
-    lambda: composed(1, 20, p_override=3),
+    lambda: composed(1, 20, p=3),
 ])
 def test_constructor_meta_round_trips_through_cmx(make, tmp_path):
     mat = make()

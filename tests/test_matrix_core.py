@@ -135,6 +135,17 @@ def test_cmx_parse_errors(tmp_path):
             read_cmx(path)
         assert err.value.lineno == 5
 
+    # a header that is cut short, misspelled, or names an unknown field
+    for lines, message, lineno in (
+            (["#cmx 1", "field real"], "missing 'rows' header", 3),
+            (["#cmx 1", "field real", "rowz 1", "cols 1", "meta {}", "1"], "rowz", 3),
+            (["#cmx 1", "field quaternion", "rows 1", "cols 1", "meta {}", "1"],
+             "unknown field 'quaternion'", 2)):
+        _write_lines(path, lines)
+        with pytest.raises(ParseError, match=message) as err:
+            read_cmx(path)
+        assert err.value.lineno == lineno
+
     # a column count no array can hold is refused from the token count
     _write_lines(path, ["#cmx 1", "field real", "rows 1", "cols 100000000000000000000",
                         "meta {}", "1"])
@@ -236,7 +247,7 @@ def _writer_cases():
     """The constructor gallery, and matrices built around formatting edge cases."""
     yield from (golomb_phase(5), golomb_phase(23), golomb_stacked(5), weil(5, 2), weil(13, 2),
                 alltop(7), devore(5, 2), rademacher(9, 7, seed=1),
-                composed(1, 20, p_override=3), las_vegas(64, 8, seed=1)[0])
+                composed(1, 20, p=3), las_vegas(64, 8, seed=1)[0])
     rng = np.random.default_rng(5)
     tiny = 2.2250738585072014e-308
     edge = np.array([0.0, -0.0, 5e-324, -5e-324, tiny, np.nextafter(tiny, 0.0),
