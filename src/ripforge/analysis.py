@@ -65,24 +65,49 @@ def _check_x(B: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_square(sums: np.ndarray, r: int) -> None:
+    if sums.shape != (r, r):
+        raise DimensionMismatch(f"pair sums have shape {sums.shape}, x needs {(r, r)}")
+
+
 def _power_sum(v: np.ndarray, e: int) -> float:
     """sum_i |v_i|^e for e = 2 or 4, with no root taken, added by math.fsum."""
     sq = v.real**2 + v.imag**2
     return math.fsum(sq if e == 2 else sq * sq)
 
 
-def l2_identity(B, x) -> IdentityReport:
-    """Check ||Bx||_2^2 against its pair-sum expansion."""
+def pair_sums(B) -> np.ndarray:
+    """P(k,k') = sum_j conj(B_{j,k}) B_{j,k'}, diagonal included, for l2_identity."""
     B = np.asarray(as_array(B), dtype=np.complex128)
     _check_unimodular(B)
+    return B.conj().T @ B
+
+
+def square_pair_sums(B) -> np.ndarray:
+    """Q(k,k') = sum_j conj(B_{j,k})^2 B_{j,k'}^2, diagonal included, for l4_identity."""
+    B = np.asarray(as_array(B), dtype=np.complex128)
+    _check_unimodular(B)
+    return (B.conj() ** 2).T @ (B**2)
+
+
+def l2_identity(B, x, pairs=None) -> IdentityReport:
+    """Check ||Bx||_2^2 against its pair-sum expansion.
+
+    P comes from pair_sums(B), which also checks that B is unimodular, built
+    here when no `pairs` is passed; it does not depend on x, so a caller
+    checking many vectors builds it once.
+    """
+    B = np.asarray(as_array(B), dtype=np.complex128)
+    if pairs is None:
+        pairs = pair_sums(B)
     x = _check_x(B, x)
     q, r = B.shape
+    _check_square(pairs, r)
 
     direct = _power_sum(B @ x, 2)
-    pair_sums = B.conj().T @ B                      # P(k, k')
     weights = np.outer(x.conj(), x)
     off_diag = ~np.eye(r, dtype=bool)
-    formula = q * _power_sum(x, 2) + (pair_sums * weights)[off_diag].sum()
+    formula = q * _power_sum(x, 2) + (pairs * weights)[off_diag].sum()
     return IdentityReport(direct_value=direct,
                           formula_value=float(formula.real),
                           sigma1=0j, sigma2=0j,
@@ -128,26 +153,29 @@ def _tensor_sums(tensor: np.ndarray, x: np.ndarray) -> tuple[complex, complex]:
     return sigma1, sigma1 - complex((np.outer(x.conj() ** 2, x**2) * swapped).sum())
 
 
-def l4_identity(B, x, tensor=None) -> IdentityReport:
+def l4_identity(B, x, tensor=None, square_pairs=None) -> IdentityReport:
     """Check ||Bx||_4^4 against both quadruple-sum expansions.
 
     `formula_value` uses the S1 form, `formula_value_split` the form that
     isolates the squared-pair sum and S2; both gaps are reported.  Both sums
-    come from quadruple_tensor(B), built here when no tensor is passed.
+    come from quadruple_tensor(B) and Q from square_pair_sums(B), each built
+    here, with its check that B is unimodular, when not passed; neither
+    depends on x.
     """
     B = np.asarray(as_array(B), dtype=np.complex128)
-    _check_unimodular(B)
-    x = _check_x(B, x)
-    q, r = B.shape
     if tensor is None:
         tensor = quadruple_tensor(B)
+    if square_pairs is None:
+        square_pairs = square_pair_sums(B)
+    x = _check_x(B, x)
+    q, r = B.shape
+    _check_square(square_pairs, r)
 
     y = B @ x
     direct = _power_sum(y, 4)
     common = 2.0 * _power_sum(x, 2) * _power_sum(y, 2) - q * _power_sum(x, 4)
     sigma1, sigma2 = _tensor_sums(tensor, x)
 
-    square_pairs = (B.conj() ** 2).T @ (B**2)             # Q(k, k')
     w_sq = np.outer(x.conj() ** 2, x**2)
     off_diag = ~np.eye(r, dtype=bool)
     pair_term = (square_pairs * w_sq)[off_diag].sum()

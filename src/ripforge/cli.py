@@ -136,13 +136,15 @@ def _cmd_verify(args) -> tuple[dict, bool]:
 
     if args.property == "identities":
         max_gap = max_rel_gap = 0.0
-        tensor = analysis.quadruple_tensor(mat)  # independent of x: once per run
+        tensor = analysis.quadruple_tensor(mat)  # independent of x, like P and Q: once per run
+        pairs = analysis.pair_sums(mat)
+        square_pairs = analysis.square_pair_sums(mat)
         for _ in range(args.trials):
             x = _random_vector(rng, mat.cols, complex_field)
-            rep = analysis.l2_identity(mat, x)
+            rep = analysis.l2_identity(mat, x, pairs)
             max_gap = max(max_gap, rep.abs_gap)
             max_rel_gap = max(max_rel_gap, rep.abs_gap / rep.direct_value)
-            rep = analysis.l4_identity(mat, x, tensor)
+            rep = analysis.l4_identity(mat, x, tensor, square_pairs)
             gap = max(rep.abs_gap, rep.abs_gap_split)
             max_gap = max(max_gap, gap)
             max_rel_gap = max(max_rel_gap, gap / rep.direct_value)

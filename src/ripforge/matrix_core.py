@@ -6,13 +6,15 @@ exchange format is line-oriented text with 17-significant-digit decimals,
 so double-precision entries round-trip bit-exactly and files stay
 diffable across implementations.
 
-CMX I/O runs in memory bounded apart from the matrix itself.  write_cmx
-goes out in blocks of rows and formats each distinct bit pattern of a
-block once, so the explicit constructions, whose entries repeat a few
-roots of unity, cost about their distinct values.  read_cmx streams the
-file twice, checking the header and the line and entry counts before it
-allocates the matrix and then parsing one line at a time, and never holds
-the whole text.
+CMX I/O runs in memory bounded apart from the matrix itself, and costs
+about the distinct values of a file: the explicit constructions repeat a
+few roots of unity, chirps and signs.  write_cmx goes out in blocks of rows
+and formats each bit pattern that a memo kept across blocks lacks.
+read_cmx streams the file twice, checking the header and the line and
+entry counts before it allocates the matrix, then parsing one line at a
+time through a cache of the tokens already seen; it never holds the whole
+text.  The memo and the cache hold at most CMX_CACHE_ENTRIES entries each,
+and both step aside on mostly distinct values, such as Gaussian draws.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .errors import DimensionMismatch, NonFiniteEntry, ParseError
 CMX_MAGIC = "#cmx 1"
 GRAM_STRIP_BYTES = 32 << 20  # largest Gram strip gram_strips holds at once
 FLOAT32_SIGN_ROWS = 1 << 24  # most rows over which +-1 product sums stay exact in float32
-CMX_BLOCK_PARTS = 1 << 16    # float64 parts write_cmx formats per block of rows
+CMX_BLOCK_PARTS = 1 << 15    # float64 parts write_cmx formats per block of rows
+CMX_CACHE_ENTRIES = 1 << 14  # most tokens read_cmx, or bit patterns write_cmx, keeps at once
 _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b" :")
 
 
@@ -103,7 +106,9 @@ def write_cmx(A: Matrix, path) -> None:
 
     Rows go out in blocks of about CMX_BLOCK_PARTS float64 parts, a real
     and an imaginary part counting separately.  Every entry reads exactly
-    as format(x, ".17g") of each part would give it.
+    as format(x, ".17g") of each part would give it, but each bit pattern
+    is formatted only when a memo kept across the blocks lacks it; see
+    _block_text for how the memo stays within CMX_CACHE_ENTRIES.
     """
     arr = A.data
     complex_field = np.iscomplexobj(arr)
@@ -114,6 +119,7 @@ def write_cmx(A: Matrix, path) -> None:
         seps[0::2] = ":"
     seps[-1] = "\n"
     height = max(1, CMX_BLOCK_PARTS // width)
+    memo = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{CMX_MAGIC}\n")
         fh.write(f"field {'complex' if complex_field else 'real'}\n")
@@ -121,16 +127,35 @@ def write_cmx(A: Matrix, path) -> None:
         fh.write(f"cols {arr.shape[1]}\n")
         fh.write("meta " + json.dumps(A.meta, sort_keys=True, separators=(",", ":")) + "\n")
         for i in range(0, parts.shape[0], height):
-            fh.write(_block_text(parts[i:i + height], seps))
+            fh.write(_block_text(parts[i:i + height], seps, memo))
 
 
-def _block_text(block: np.ndarray, seps: np.ndarray) -> str:
-    """The CMX text of a block of rows of float64 parts: each distinct bit
-    pattern (so -0.0 apart from 0.0) is formatted once, and one join runs over
-    the shared tokens and seps, the text after each part of a row."""
+def _formatted(bits: np.ndarray) -> list[str]:
+    return [format(x, ".17g") for x in bits.view(np.float64).tolist()]
+
+
+def _block_text(block: np.ndarray, seps: np.ndarray, memo: dict) -> str:
+    """The CMX text of a block of rows of float64 parts, with one join over
+    the tokens and seps, the text after each part of a row.
+
+    Tokens are keyed by bit pattern, so -0.0 stays apart from 0.0.  memo
+    maps the bit patterns of earlier blocks to their tokens; the block's new
+    patterns are added, after a clear when they would take it past
+    CMX_CACHE_ENTRIES.  A block that is more than half distinct values, or
+    has more than the memo holds, is formatted whole and leaves it as it is.
+    """
     bits, index = np.unique(block.view(np.uint64), return_inverse=True)
-    tokens = np.array([format(x, ".17g") for x in bits.view(np.float64).tolist()],
-                      dtype=object)
+    if 2 * len(bits) > block.size or len(bits) > CMX_CACHE_ENTRIES:
+        tokens = _formatted(bits)
+    else:
+        keys = bits.tolist()
+        new = [k for k in keys if k not in memo]
+        if len(memo) + len(new) > CMX_CACHE_ENTRIES:
+            memo.clear()
+            new = keys
+        memo.update(zip(new, _formatted(np.array(new, dtype=np.uint64))))
+        tokens = list(map(memo.__getitem__, keys))
+    tokens = np.array(tokens, dtype=object)
     text = np.empty((block.shape[0], 2 * block.shape[1]), dtype=object)
     text[:, 0::2] = tokens[index.reshape(block.shape)]
     del bits, index, tokens  # before the list and the string, which are larger
@@ -201,12 +226,53 @@ def _scan(fh) -> tuple[bool, int, int, dict]:
     return complex_field, rows, cols, meta
 
 
+class _FloatCache(dict):
+    """float(token) of each token looked up, parsed on its first lookup.
+
+    parse() maps a line's tokens through the cache.  A line that is mostly
+    misses is parsed whole with float and added in one update; otherwise
+    __missing__ parses each miss.  Before a line that might take the cache
+    past CMX_CACHE_ENTRIES, it is cleared; but if more than half the tokens
+    looked up since the last clear were misses (each distinct miss adds one
+    entry), it gives up, and every later line goes through plain float.  A
+    line with more tokens than the cache holds does too.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.seen = 0           # tokens looked up since the last clear
+        self.given_up = False
+
+    def __missing__(self, token):
+        value = self[token] = float(token)
+        return value
+
+    def parse(self, tokens: list[str]) -> list[float]:
+        if not self.given_up and len(self) + len(tokens) > CMX_CACHE_ENTRIES:
+            self.given_up = 2 * len(self) > self.seen
+            self.clear()
+            self.seen = 0
+        if self.given_up or len(tokens) > CMX_CACHE_ENTRIES:
+            return list(map(float, tokens))
+        self.seen += len(tokens)
+        values = list(map(self.get, tokens))
+        misses = values.count(None)
+        if 2 * misses > len(tokens):
+            values = list(map(float, tokens))
+            self.update(zip(tokens, values))
+        elif misses:
+            values = list(map(self.__getitem__, tokens))
+        return values
+
+
 def read_cmx(path) -> Matrix:
     """Parse a CMX v1 file back into a Matrix; inverse of write_cmx.
 
     Two streaming passes over the file: _scan checks the header and the line
     and entry counts before rows x cols is allocated, then each data line is
-    parsed with Python's float into its row.
+    parsed into its row through a _FloatCache, which calls Python's float
+    about once per distinct token while a cache of at most CMX_CACHE_ENTRIES
+    tokens pays, and on every token after it gives up.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -215,6 +281,7 @@ def read_cmx(path) -> Matrix:
             out = np.empty((rows, cols), dtype=np.complex128 if complex_field else np.float64)
             parts = out.view(np.float64)
             pairs = b": " * (cols - 1) + b":"  # the separators of a complex line
+            cache = _FloatCache()
             for i, line in enumerate(islice(_logical_lines(fh), 5, 5 + rows)):
                 try:
                     if complex_field:
@@ -226,7 +293,7 @@ def read_cmx(path) -> Matrix:
                         line = line.replace(":", " ")
                     elif ":" in line:
                         raise ValueError("complex entry in a real matrix")
-                    parts[i] = list(map(float, line.split(" ")))
+                    parts[i] = cache.parse(line.split(" "))
                 except ValueError as e:
                     raise ParseError(str(e), lineno=6 + i) from e
     except UnicodeDecodeError as e:

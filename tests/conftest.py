@@ -207,11 +207,14 @@ def cmx_reader_referee():
 
 
 @pytest.fixture(params=["default", "tiny"])
-def cmx_block(request, monkeypatch):
-    """Run once with the shipped CMX_BLOCK_PARTS and once with blocks of a
-    few parts, so every test matrix spans many blocks, mostly of one row."""
+def cmx_bounds(request, monkeypatch):
+    """Run once with the shipped CMX_BLOCK_PARTS and CMX_CACHE_ENTRIES and
+    once with blocks of a few parts and a read cache and write memo of a few
+    entries, so every test matrix spans many blocks, mostly of one row, and
+    small test files reach the cache's clears and give-ups."""
     if request.param == "tiny":
         monkeypatch.setattr("ripforge.matrix_core.CMX_BLOCK_PARTS", 6)
+        monkeypatch.setattr("ripforge.matrix_core.CMX_CACHE_ENTRIES", 4)
     return request.param
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ripforge.analysis import (embedding_ratios, holder_floor, l2_identity,
-                               l4_identity, quadruple_tensor)
+from ripforge.analysis import (embedding_ratios, holder_floor, l2_identity, l4_identity,
+                               pair_sums, quadruple_tensor, square_pair_sums)
 from ripforge.constructors import golomb_phase
 from ripforge.errors import DimensionMismatch, NotUnimodular, TooLarge, ZeroVector
 from ripforge.matrix_core import norm
@@ -109,6 +109,8 @@ def test_hoisted_tensor_agrees_with_oracle(grid_quadruple_sums):
             x = random_x(rng, B.shape[1])
             s1, s2 = grid_quadruple_sums(B, x)
             hoisted = l4_identity(B, x, tensor)
+            assert l4_identity(B, x, tensor, square_pair_sums(B)) == hoisted
+            assert l2_identity(B, x, pair_sums(B)) == l2_identity(B, x)
             scale = 1e-12 * hoisted.direct_value
             assert abs(hoisted.sigma1 - s1) <= scale
             assert abs(hoisted.sigma2 - s2) <= scale
@@ -125,12 +127,17 @@ def test_identity_preconditions():
         l4_identity(random_unimodular(rng, 2, 33), np.ones(33))
     with pytest.raises(TooLarge, match="quadruple enumeration is quartic; r=33 > 32"):
         quadruple_tensor(random_unimodular(rng, 2, 33))
-    with pytest.raises(NotUnimodular):
-        quadruple_tensor(np.array([[0.5]]))
+    for build in (quadruple_tensor, pair_sums, square_pair_sums):
+        with pytest.raises(NotUnimodular):
+            build(np.array([[0.5]]))
     with pytest.raises(DimensionMismatch):  # a tensor built for another width
         l4_identity(np.ones((2, 3)), np.ones(3), quadruple_tensor(np.ones((2, 2))))
     with pytest.raises(DimensionMismatch):
         l2_identity(np.ones((2, 2)), np.ones(3))
+    with pytest.raises(DimensionMismatch):  # pair sums built for another width
+        l2_identity(np.ones((2, 3)), np.ones(3), pair_sums(np.ones((2, 2))))
+    with pytest.raises(DimensionMismatch):
+        l4_identity(np.ones((2, 3)), np.ones(3), square_pairs=square_pair_sums(np.ones((2, 2))))
 
 
 def test_holder_floor_examples():

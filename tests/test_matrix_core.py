@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ripforge import matrix_core
@@ -185,10 +185,16 @@ def _read_outcome(read, path):
     return mat.field_name, mat.data.shape, mat.data.tobytes(), mat.meta
 
 
-@settings(max_examples=400, deadline=None)
+# cmx_bounds sets a module constant once per test, which every example shares
+_ONE_FIXTURE_STATE = settings(max_examples=400, deadline=None,
+                              suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_ONE_FIXTURE_STATE
 @given(st.one_of(st.binary(max_size=120), st.binary(max_size=40).map(_HEADER.__add__),
                  _CMX_TEXT))
-def test_read_cmx_parses_or_raises_ripforge_error(tmp_path_factory, cmx_reader_referee, raw):
+def test_read_cmx_parses_or_raises_ripforge_error(tmp_path_factory, cmx_bounds,
+                                                  cmx_reader_referee, raw):
     path = tmp_path_factory.mktemp("fuzz") / "f.cmx"
     path.write_bytes(raw)
     assert _read_outcome(read_cmx, path) == _read_outcome(cmx_reader_referee, path)
@@ -227,7 +233,7 @@ _DATA_1x1 = b"#cmx 1\nfield real\nrows 1\ncols 1\nmeta {}\n"
 _DATA_1x2 = b"#cmx 1\nfield real\nrows 1\ncols 2\nmeta {}\n"
 
 
-@settings(max_examples=400, deadline=None)
+@_ONE_FIXTURE_STATE
 @given(_near_valid_cmx())
 @example(_DATA_1x1 + b"1\n\n")                                     # trailing blank line
 @example(_DATA_1x2 + b"1\x0c 2\n")                                 # form feed splits the line
@@ -237,7 +243,8 @@ _DATA_1x2 = b"#cmx 1\nfield real\nrows 1\ncols 2\nmeta {}\n"
 @example(_DATA_1x2.replace(b"\n", b"\r") + b"1 2\r")                # lone CR
 @example(_DATA_1x2 + b"-0 5e-324")                                  # no final newline
 @example(b"#notcmx\n" + b"1\n" * 9000 + b"\xff\n")                    # not UTF-8 wins
-def test_read_cmx_agrees_with_whole_text_referee(tmp_path_factory, cmx_reader_referee, raw):
+def test_read_cmx_agrees_with_whole_text_referee(tmp_path_factory, cmx_bounds,
+                                                 cmx_reader_referee, raw):
     path = tmp_path_factory.mktemp("diff") / "f.cmx"
     path.write_bytes(raw)
     assert _read_outcome(read_cmx, path) == _read_outcome(cmx_reader_referee, path)
@@ -262,12 +269,99 @@ def _writer_cases():
     yield Matrix(np.vstack([wide.real, wide.real[::-1]]))
 
 
-def test_write_cmx_matches_per_entry_referee(tmp_path, cmx_block, cmx_writer_referee):
+def _memo_sizes(monkeypatch) -> list:
+    """The (entries, least bit pattern) of write_cmx's memo after each block."""
+    sizes, block_text = [], matrix_core._block_text
+
+    def spy(block, seps, memo):
+        text = block_text(block, seps, memo)
+        sizes.append((len(memo), min(memo, default=None)))
+        return text
+
+    monkeypatch.setattr(matrix_core, "_block_text", spy)
+    return sizes
+
+
+def test_write_cmx_matches_per_entry_referee(tmp_path, monkeypatch, cmx_bounds,
+                                             cmx_writer_referee):
     path, want = tmp_path / "blocked.cmx", tmp_path / "referee.cmx"
+    sizes = _memo_sizes(monkeypatch)
     for mat in _writer_cases():
         write_cmx(mat, path)
         cmx_writer_referee(mat, want)
         assert path.read_bytes() == want.read_bytes(), mat.meta or mat.data.shape
+    assert max(n for n, _ in sizes) <= matrix_core.CMX_CACHE_ENTRIES
+
+
+def test_write_cmx_memo_hits_clears_and_skips_within_its_bound(tmp_path, monkeypatch, cmx_bounds,
+                                                               cmx_writer_referee):
+    bound = matrix_core.CMX_CACHE_ENTRIES
+    width = max(matrix_core.CMX_BLOCK_PARTS + 3, 4 * bound + 4)  # each row longer than a block
+    values = np.arange(1, 2 * bound + 2) / 7                       # positive: bits rise with them
+    first, second = values[:bound], values[bound:2 * bound]
+    rows = [values[:bound + 1],  # more distinct patterns than the memo holds: skipped
+            first, first,        # misses, then hits
+            second]              # no room: cleared, then misses
+    mat = Matrix(np.vstack([np.resize(row, width) for row in rows]))
+    sizes = _memo_sizes(monkeypatch)
+    write_cmx(mat, tmp_path / "blocked.cmx")
+    cmx_writer_referee(mat, tmp_path / "referee.cmx")
+    assert (tmp_path / "blocked.cmx").read_bytes() == (tmp_path / "referee.cmx").read_bytes()
+    least = values.view(np.uint64)
+    assert sizes == [(0, None), (bound, least[0]), (bound, least[0]), (bound, least[bound])]
+
+
+def _real_cmx(path, lines: list[list[str]]) -> None:
+    header = ["#cmx 1", "field real", f"rows {len(lines)}", f"cols {len(lines[0])}", "meta {}"]
+    path.write_text("\n".join(header + [" ".join(line) for line in lines]) + "\n")
+
+
+def _cache_after(lines: list[list[str]]) -> tuple[matrix_core._FloatCache, int]:
+    """The cache read_cmx would hold after parsing these lines, and how often
+    it was cleared; it never holds more than CMX_CACHE_ENTRIES."""
+    cache, clears = matrix_core._FloatCache(), 0
+    for line in lines:
+        before = len(cache)
+        assert cache.parse(line) == [float(t) for t in line]
+        clears += len(cache) < before
+        assert len(cache) <= matrix_core.CMX_CACHE_ENTRIES
+    return cache, clears
+
+
+def test_float_cache_parses_a_line_by_its_share_of_misses():
+    cache = matrix_core._FloatCache()
+    assert cache.parse(["1", "2", "1"]) == [1.0, 2.0, 1.0]  # all misses: one float map
+    assert cache.parse(["1", "2", "-0"]) == [1.0, 2.0, -0.0]  # one miss: __missing__
+    assert cache.parse(["-0", "2", "1"]) == [-0.0, 2.0, 1.0]  # all hits
+    assert sorted(cache) == ["-0", "1", "2"] and cache.seen == 9 and not cache.given_up
+
+
+def test_read_cmx_late_bad_token_after_warm_or_given_up_cache(tmp_path, cmx_bounds,
+                                                              cmx_reader_referee):
+    bound = matrix_core.CMX_CACHE_ENTRIES
+    n = 2 * bound + 20  # lines of two tokens: the cache fills twice over
+    rng = np.random.default_rng(8)
+    repeating = [[str(k % (bound + 1))] * 2 for k in range(n)]  # half hits: cleared, kept
+    distinct = [[format(v, ".17g") for v in rng.standard_normal(2)] for _ in range(n)]
+    late = n - 3
+    for lines, given_up in ((repeating, False), (distinct, True)):
+        cache, clears = _cache_after(lines[:late])
+        assert cache.given_up == given_up
+        assert given_up or (clears >= 1 and len(cache) > 0)
+        path = tmp_path / "late.cmx"
+        _real_cmx(path, lines[:late] + [["1", "1x"]] + lines[late + 1:])
+        assert (_read_outcome(read_cmx, path) == _read_outcome(cmx_reader_referee, path)
+                == (ParseError, 6 + late))
+
+
+def test_read_cmx_keeps_negative_zero_apart_from_zero(tmp_path, cmx_bounds, cmx_reader_referee):
+    lines = [["0", "-0", "0.0", "-0.0"], ["-0", "0", "-0e5", "0e-5"]] * 5
+    path = tmp_path / "zeros.cmx"
+    _real_cmx(path, lines)
+    mat = read_cmx(path)
+    assert _read_outcome(read_cmx, path) == _read_outcome(cmx_reader_referee, path)
+    assert not mat.data.any()
+    assert np.array_equal(np.signbit(mat.data), [[t[0] == "-" for t in line] for line in lines])
 
 
 def test_gram_strips_tile_the_gram(monkeypatch):
