@@ -73,6 +73,28 @@ def _grid_quadruple_sums(B: np.ndarray, x: np.ndarray) -> tuple[complex, complex
     return complex(weighted[mask1].sum()), complex(weighted[mask2].sum())
 
 
+def _per_b_quad_scan(arr: np.ndarray) -> tuple[int, tuple[int, int, int, int] | None]:
+    """max |sum_j A_{j,a} A_{j,b} A_{j,c} A_{j,d}| over 4-subsets of a +-1
+    matrix and the lexicographically smallest 4-subset at it: for each b,
+    one float64 product of the rows A_a o A_b (a < b) against the pair rows
+    A_c o A_d with c > b, a suffix of the whole C(N,2) x m pair table."""
+    m, n = arr.shape
+    if n < 4:
+        return 0, None
+    columns = np.ascontiguousarray(arr.T, dtype=np.float64)
+    rows, cols = np.triu_indices(n, 1)                      # lexicographic pairs
+    prods = columns[rows] * columns[cols]
+    best_val, best = -1.0, None
+    for b in range(1, n - 2):
+        start = int(np.searchsorted(rows, b + 1))
+        vals = np.abs((columns[:b] * columns[b]) @ prods[start:].T)
+        a, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        cand = (int(a), b, int(rows[start + j]), int(cols[start + j]))
+        if vals[a, j] > best_val or (vals[a, j] == best_val and cand < best):
+            best_val, best = float(vals[a, j]), cand
+    return int(best_val), best
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -195,6 +217,12 @@ def grid_quadruple_sums():
 
 
 @pytest.fixture
+def per_b_quad_scan():
+    """Per-b referee over the whole pair table for condition_b's blocked scan."""
+    return _per_b_quad_scan
+
+
+@pytest.fixture
 def cmx_writer_referee():
     """Per-entry referee for the blocked write_cmx."""
     return _write_cmx_per_entry
@@ -220,8 +248,11 @@ def cmx_bounds(request, monkeypatch):
 
 @pytest.fixture(params=["default", "tiny"])
 def strip_budget(request, monkeypatch):
-    """Run once with the shipped GRAM_STRIP_BYTES and once with a budget so
-    small that every test-sized Gram spans many strips of a few rows."""
+    """Run once with the shipped GRAM_STRIP_BYTES and left-block row target
+    and once with a budget so small that every test-sized Gram spans many
+    strips of a few rows, and every quad_blocks scan many chunks of pair rows
+    and left blocks of a few b."""
     if request.param == "tiny":
         monkeypatch.setattr("ripforge.matrix_core.GRAM_STRIP_BYTES", 1000)
+        monkeypatch.setattr("ripforge.certify._LEFT_BLOCK_ROWS", 8)
     return request.param

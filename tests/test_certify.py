@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ def test_condition_b_hadamard_product_counterexample():
     assert check.witness == (0, 1, 2, 3)
 
 
-def test_condition_b_matches_subset_loop_oracle():
+def test_condition_b_matches_subset_loop_oracle(strip_budget):
     # small m makes ties common, which pins down the witness rule
     cases = [(21, 7, 9)] + [(m, n, seed) for m in (8, 12, 21)
                             for n in range(4, 13) for seed in range(3)]
@@ -135,14 +136,45 @@ def test_condition_b_matches_subset_loop_oracle():
 
 
 def test_condition_b_float64_path_matches_float32_path(monkeypatch):
-    # the cases of the subset-loop oracle test, whose float32 answers it checks
+    # the cases of the subset-loop oracle test, whose float32 answers it
+    # checks, and sizes whose scans span several left blocks
     cases = [(21, 7, 9)] + [(m, n, seed) for m in (8, 12, 21)
                             for n in range(4, 13) for seed in range(3)]
+    cases += [(21, n, seed) for n in (33, 64) for seed in range(2)]
     mats = [rademacher(m, n, seed=seed) for m, n, seed in cases]
     want = [condition_b(mat, kappa=1.0)[1:3] for mat in mats]
     monkeypatch.setattr("ripforge.matrix_core.FLOAT32_SIGN_ROWS", 7)  # below every m
     for mat, case, expected in zip(mats, cases, want):
         assert condition_b(mat, kappa=1.0)[1:3] == expected, case
+
+
+def test_condition_b_matches_per_b_scan_referee(strip_budget, per_b_quad_scan):
+    # N = 13 fits one left block at the shipped row target, 20 to 80 span
+    # several; the tiny budget splits the pair rows into many chunks
+    cases = [(m, n, seed) for m in (8, 21, 1775) for n in (13, 20, 33) for seed in range(3)]
+    cases += [(8, 64, 0), (8, 80, 1), (21, 64, 2), (1775, 80, 3)]
+    for m, n, seed in cases:
+        mat = rademacher(m, n, seed=seed)
+        check = condition_b(mat, kappa=1.0)
+        assert (check.max_sum, check.witness) == per_b_quad_scan(mat.data), (m, n, seed)
+
+
+@pytest.mark.parametrize("budget", [1 << 20, 4 << 20])
+def test_condition_b_holds_one_chunk_of_pair_rows(monkeypatch, per_b_quad_scan, budget):
+    # the whole C(64,2) x 1775 float32 pair table is 6.8 MiB; what may be held
+    # is one chunk of it with its product, under the budget, the transposed
+    # columns, and a left block of at most about 2N rows
+    m, n = 1775, 64
+    monkeypatch.setattr("ripforge.matrix_core.GRAM_STRIP_BYTES", budget)
+    mat = rademacher(m, n, seed=5)
+    tracemalloc.start()
+    try:
+        check = condition_b(mat, kappa=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget + 5 * n * m * np.dtype(np.float32).itemsize, peak
+    assert (check.max_sum, check.witness) == per_b_quad_scan(mat.data)
 
 
 def test_condition_b_counterexample_sums_to_m_at_two_to_the_twenty():
