@@ -46,7 +46,7 @@ import numpy as np
 from . import matrix_core
 from .constructors import rademacher
 from .errors import InvalidParams, NotSignMatrix, RoundsExhausted, TooLarge, ZeroColumn
-from .matrix_core import Matrix, as_array, gram_strips
+from .matrix_core import Matrix, as_array, gram_strips, reduce_gram_strips
 
 SUBSEED_DERIVATION = "numpy SeedSequence((seed, round)), first uint64 word"
 PROBE_SAMPLER = 2  # version of probe_l1's seed -> sample mapping
@@ -107,25 +107,29 @@ def _max_pair(arr: np.ndarray, norms=None) -> tuple[float, tuple[int, int]]:
     """Largest |<a_j, a_l>| over j != l, divided by |a_j| |a_l| when norms are
     given, and the first pair in row-major order that attains it (so j < l).
 
-    A running max over gram_strips; the diagonal is masked below any valid value.
+    A running max over the Gram strips, each |G| written over its own strip
+    by reduce_gram_strips, so the scan holds one strip and O(N m) besides;
+    the diagonal is masked below any valid value.
     """
-    best, witness = -1.0, None
-    for i, strip in gram_strips(arr):
-        vals = np.abs(strip)
-        del strip  # hold one strip-sized array, not two
+    def strip_max(i, vals):
         if norms is not None:
             for k, row in enumerate(vals):  # no strip-sized outer product of norms
                 row /= norms[i + k] * norms
         rows = np.arange(len(vals))
         vals[rows, i + rows] = -1.0
         r, c = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        if vals[r, c] > best:
-            best, witness = float(vals[r, c]), (i + int(r), int(c))
+        return vals[r, c], (i + int(r), int(c))
+
+    best, witness = -1.0, None
+    for val, pair in reduce_gram_strips(arr, np.abs, strip_max):
+        if val > best:
+            best, witness = float(val), pair
     return best, witness
 
 
 def coherence(A) -> float:
-    """max_{j != l} |<a_j, a_l>| over unit-normalized columns."""
+    """max_{j != l} |<a_j, a_l>| over unit-normalized columns, from one pass
+    over the Gram strips that holds one strip and O(N m) besides."""
     arr = as_array(A)
     if arr.shape[1] < 2:
         raise InvalidParams("coherence needs at least two columns")
@@ -323,6 +327,7 @@ def _hollow_gram(arr: np.ndarray) -> np.ndarray:
         for k, row in enumerate(strip):
             row /= norms[i + k] * norms
         hollow[i:i + len(strip)] = strip
+        del strip, row  # the next strip's product runs beside H alone
     np.fill_diagonal(hollow, 0.0)
     return hollow
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParams, InvalidPointSet, ParseError, RipforgeError, TooLarge, ZeroRow
-from .matrix_core import Matrix, as_array, gram_strips, read_cmx, write_cmx
+from .matrix_core import Matrix, as_array, read_cmx, reduce_gram_strips, write_cmx
 
 UNIT_TOL = 1e-12
 FIELDS = ("real", "complex")
@@ -158,16 +158,17 @@ def design_defect(ps: WeightedPointSet, k: int) -> float:
     """Gram-sum defect sum_{i,j} tau_i tau_j |<x_i,x_j>|^(2k) - delta_{n,2k}.
 
     Nonnegative up to roundoff (Sidelnikov); zero iff the weighted set is
-    a 2k-design.  Summed strip by strip over gram_strips, so no N x N Gram
-    of the N points is held.
+    a 2k-design.  Summed strip by strip over the Gram of the N points, each
+    |G|^(2k) written over its own strip by reduce_gram_strips, so the sum
+    holds one strip and O(N n) besides, never an N x N Gram.
     """
     if k < 1:
         raise InvalidParams("need k >= 1")
     w = ps.weights
-    gram_sum = 0.0
-    for i, strip in gram_strips(ps.points.T):
-        abs2 = (strip * strip.conj()).real
-        gram_sum += float(w[i:i + len(abs2)] @ abs2**k @ w)
+    gram_sum = 0.0  # added in strip order; sum() compensates from Python 3.12 on
+    for strip_sum in reduce_gram_strips(ps.points.T, lambda g: (g * g.conj()).real ** k,
+                                        lambda i, vals: float(w[i:i + len(vals)] @ vals @ w)):
+        gram_sum += strip_sum
     return gram_sum - delta_closed_form(ps.dim, k, ps.field_name)
 
 

@@ -28,10 +28,11 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteEntry, ParseError
 
 CMX_MAGIC = "#cmx 1"
-GRAM_STRIP_BYTES = 32 << 20  # largest Gram strip gram_strips holds at once
+GRAM_STRIP_BYTES = 32 << 20  # largest Gram strip, the one strip-sized array a consumer holds
 FLOAT32_SIGN_ROWS = 1 << 24  # most rows over which +-1 product sums stay exact in float32
 CMX_BLOCK_PARTS = 1 << 15    # float64 parts write_cmx formats per block of rows
 CMX_CACHE_ENTRIES = 1 << 14  # most tokens read_cmx, or bit patterns write_cmx, keeps at once
+_STRIP_ROW_CHUNK = 128       # strip rows reduce_gram_strips maps through its ufunc at once
 _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b" :")
 
 
@@ -92,13 +93,37 @@ def matvec(A, x) -> np.ndarray:
 
 def gram_strips(X):
     """Yield (i, X[:, i:j]^H X): the column Gram of X as consecutive full-width
-    row strips, each under GRAM_STRIP_BYTES, so no N x N Gram is ever held."""
+    row strips, each under GRAM_STRIP_BYTES, so no N x N Gram is ever held.
+    The generator keeps no reference to a strip it has yielded, but a loop
+    variable does: a consumer that drops the strip and every view of it
+    before asking for the next holds one strip, not two."""
     arr = as_array(X)
     n = arr.shape[1]
     itemsize = np.result_type(arr.dtype, np.float64).itemsize
     height = max(1, GRAM_STRIP_BYTES // (n * itemsize))
     for i in range(0, n, height):
         yield i, arr[:, i:i + height].conj().T @ arr
+
+
+def reduce_gram_strips(X, func, reduce):
+    """Yield reduce(i, func(S)) for each strip (i, S) of gram_strips(X),
+    holding one strip and nothing else strip-sized.
+
+    func is an elementwise expression with float64 values, such as np.abs.
+    It runs over _STRIP_ROW_CHUNK rows at a time, and each chunk's values go
+    into S's own buffer viewed as float64 from its start.  For a complex S,
+    float row r overlaps only complex rows below r/2 + 1, which the forward
+    pass has already read.  reduce gets that float64 view, may change it in
+    place, and must keep no reference to it; S and the view are dropped
+    before the next strip's product is formed.
+    """
+    for i, strip in gram_strips(X):
+        vals = strip.reshape(-1).view(np.float64)[:strip.size].reshape(strip.shape)
+        for a in range(0, len(strip), _STRIP_ROW_CHUNK):
+            vals[a:a + _STRIP_ROW_CHUNK] = func(strip[a:a + _STRIP_ROW_CHUNK])
+        result = reduce(i, vals)
+        del strip, vals
+        yield result
 
 
 def write_cmx(A: Matrix, path) -> None:

@@ -6,7 +6,7 @@ import pytest
 
 from ripforge.designs import delta_closed_form
 from ripforge.errors import ParseError
-from ripforge.matrix_core import CMX_MAGIC, Matrix
+from ripforge.matrix_core import CMX_MAGIC, Matrix, gram_strips
 
 
 def _poly_value(p: int, d: int, i: int, k: int) -> int:
@@ -30,6 +30,35 @@ def _dense_max_pair(arr: np.ndarray, unit: bool) -> tuple[float, tuple[int, int]
     np.fill_diagonal(gram, -1)
     j, l = np.unravel_index(int(np.argmax(gram)), gram.shape)
     return gram[j, l], (int(j), int(l))
+
+
+def _strip_max_pair(arr: np.ndarray, norms=None) -> tuple[float, tuple[int, int]]:
+    """Running max of |<a_j, a_l>| (over norms[j] norms[l] when given) over
+    gram_strips, each |G| a separate array, and the first pair at it: the
+    bits and witness that certify._max_pair must reproduce."""
+    best, witness = -1.0, None
+    for i, strip in gram_strips(arr):
+        vals = np.abs(strip)
+        if norms is not None:
+            for k, row in enumerate(vals):
+                row /= norms[i + k] * norms
+        rows = np.arange(len(vals))
+        vals[rows, i + rows] = -1.0
+        r, c = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[r, c] > best:
+            best, witness = float(vals[r, c]), (i + int(r), int(c))
+    return best, witness
+
+
+def _strip_defect(ps, k: int) -> float:
+    """Gram-sum design defect summed over gram_strips, each |G|^(2k) a
+    separate array: the bits that designs.design_defect must reproduce."""
+    w = ps.weights
+    gram_sum = 0.0
+    for i, strip in gram_strips(ps.points.T):
+        abs2 = (strip * strip.conj()).real
+        gram_sum += float(w[i:i + len(abs2)] @ abs2**k @ w)
+    return gram_sum - delta_closed_form(ps.dim, k, ps.field_name)
 
 
 SUBSET_RIC_CHUNK = 20_000  # subsets gathered per batched SVD
@@ -196,6 +225,19 @@ def poly_value():
 def dense_max_pair():
     """Dense referee for the Gram-strip reducer behind coherence and condition (a)."""
     return _dense_max_pair
+
+
+@pytest.fixture
+def strip_max_pair():
+    """Strip-by-strip referee, bit for bit, for the in-place Gram reducer
+    behind coherence, condition (a) and exact_ric at s = 2."""
+    return _strip_max_pair
+
+
+@pytest.fixture
+def strip_defect():
+    """Strip-by-strip referee, bit for bit, for design_defect's in-place sum."""
+    return _strip_defect
 
 
 @pytest.fixture

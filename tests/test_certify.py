@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ripforge import certify
+from ripforge import certify, matrix_core
 from ripforge.certify import (CertReport, ConditionCheck, certify_sign_matrix, coherence,
                               condition_a, condition_b, default_kappa, derive_subseed,
                               exact_ric, las_vegas, probe_l1, theorem1_bound)
@@ -96,6 +96,73 @@ def test_gram_kernel_matches_dense_referees(strip_budget, dense_max_pair):
         check = condition_a(draw, kappa=1.0)
         want = dense_max_pair(draw.data.astype(np.int64), unit=False)
         assert (check.max_sum, check.witness) == want, (m, n, seed)
+
+
+def _odd_shapes():
+    """Real and complex draws of odd shapes: one strip taller than the row
+    chunk with a ragged last chunk under the shipped budget, and many strips
+    of a row or two under the tiny one."""
+    rng = np.random.default_rng(11)
+    out = []
+    for m, n in ((7, 37), (5, 301), (3, 2), (1, 19)):
+        real = rng.standard_normal((m, n))
+        out += [real, real + 1j * rng.standard_normal((m, n))]
+    return out
+
+
+def test_gram_reducer_matches_strip_referee_bit_for_bit(strip_budget, strip_max_pair):
+    # the job-sized gallery spans strips of 954, 949 and 1909 rows at the shipped budget
+    cases = _odd_shapes() + [rademacher(*draw).data for draw in SIGN_DRAWS]
+    if strip_budget == "default":
+        cases += [make(*args).data for make, args in GALLERY]
+    for arr in cases:
+        norms = certify.column_norms(arr)
+        want = strip_max_pair(arr, norms)
+        assert certify._max_pair(arr, norms) == want, arr.shape
+        assert certify._max_pair(arr) == strip_max_pair(arr), arr.shape
+        assert coherence(Matrix(arr)) == want[0], arr.shape
+        assert exact_ric(Matrix(arr), 2) == want[0], arr.shape
+    for m, n, seed in SIGN_DRAWS:
+        draw = rademacher(m, n, seed)
+        best, pair = strip_max_pair(draw.data)
+        check = condition_a(draw, kappa=1.0)
+        assert (check.max_sum, check.witness) == (int(round(best)), pair), (m, n, seed)
+
+
+GRAM_ROWS, GRAM_COLS = 5, 1001  # the Gram spans several strips at either budget
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("budget", [1 << 20, 4 << 20])
+def test_gram_consumers_hold_one_strip(monkeypatch, strip_max_pair, budget):
+    # allowed: one strip, the values of one row chunk, and O(N m); a |G| beside
+    # the strip, or a strip kept alive into the next product, is a budget more.
+    # The row chunk is cut well below a strip so it cannot hide a second one.
+    m, n = GRAM_ROWS, GRAM_COLS
+    monkeypatch.setattr("ripforge.matrix_core.GRAM_STRIP_BYTES", budget)
+    monkeypatch.setattr("ripforge.matrix_core._STRIP_ROW_CHUNK", 16)
+    slack = 2 * matrix_core._STRIP_ROW_CHUNK * n * 16 + 2 * n * m * 16
+    rng = np.random.default_rng(3)
+    real = rng.standard_normal((m, n))
+    for arr in (real, real + 1j * rng.standard_normal((m, n))):
+        mu, peak = _traced_peak(lambda: coherence(Matrix(arr)))
+        assert peak <= budget + slack, (arr.dtype, peak)
+        assert mu == strip_max_pair(arr, certify.column_norms(arr))[0]
+        hollow, peak = _traced_peak(lambda: certify._hollow_gram(arr))  # exact_ric, s >= 3
+        assert peak <= hollow.nbytes + budget + 2 * n * m * 16, (arr.dtype, peak)
+    draw = rademacher(m, n, seed=3)
+    check, peak = _traced_peak(lambda: condition_a(draw, kappa=1.0))
+    assert peak <= budget + slack, peak
+    best, pair = strip_max_pair(draw.data)
+    assert (check.max_sum, check.witness) == (int(round(best)), pair)
 
 
 def test_condition_b_vacuous_below_four_columns():
@@ -275,6 +342,7 @@ def test_exact_ric_at_one_builds_no_gram(monkeypatch):
     def no_strips(arr):
         raise AssertionError("delta_1 needs no Gram strip")
     monkeypatch.setattr(certify, "gram_strips", no_strips)
+    monkeypatch.setattr(matrix_core, "gram_strips", no_strips)  # behind reduce_gram_strips
     assert exact_ric(weil(5, 2), 1) == 0.0
     assert exact_ric(Matrix(np.ones((1, 1_000_001))), 1) == 0.0  # no subset cap
     with pytest.raises(ZeroColumn):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ripforge import matrix_core
 from ripforge.constructors import alltop, devore, golomb_stacked, rademacher, weil
 from ripforge.designs import (EpsilonChain, WeightedPointSet, delta_closed_form,
                               delta_monte_carlo, design_defect, matrix_to_design,
@@ -120,6 +122,43 @@ def test_design_defect_matches_dense_referee(strip_budget, dense_defect):
             ps, _ = matrix_to_design(mat, k)
             assert design_defect(ps, k) == pytest.approx(dense_defect(ps, k), abs=1e-14), \
                 (mat.meta, k)
+
+
+def test_design_defect_matches_strip_referee_bit_for_bit(strip_budget, strip_defect):
+    # odd point counts and dimensions: one strip taller than the row chunk with a
+    # ragged last chunk under the shipped budget, strips of a row or two under the tiny one
+    rng = np.random.default_rng(5)
+    sets = [random_point_set(rng, n_points, dim, complex_field)
+            for n_points, dim in ((37, 5), (301, 3), (1, 4), (2, 7))
+            for complex_field in (False, True)]
+    if strip_budget == "default":  # strips of 690 and 1909 rows
+        sets += [matrix_to_design(golomb_stacked(23), 2)[0], matrix_to_design(devore(13, 2), 1)[0]]
+    for ps in sets:
+        for k in (1, 2, 3):
+            assert design_defect(ps, k) == strip_defect(ps, k), (ps.points.shape, k)
+
+
+@pytest.mark.parametrize("budget", [1 << 20, 4 << 20])
+def test_design_defect_holds_one_strip(monkeypatch, strip_defect, budget):
+    # allowed: one strip, a row chunk's |g|^(2k) with its complex temporaries,
+    # and O(N n); the strip's conjugate, product or power beside it is a budget
+    # more.  The row chunk is cut well below a strip so it cannot hide a second one.
+    n_points, dim = 1001, 5
+    monkeypatch.setattr("ripforge.matrix_core.GRAM_STRIP_BYTES", budget)
+    monkeypatch.setattr("ripforge.matrix_core._STRIP_ROW_CHUNK", 16)
+    slack = 2 * matrix_core._STRIP_ROW_CHUNK * n_points * 16 + 2 * n_points * dim * 16
+    rng = np.random.default_rng(4)
+    for complex_field in (False, True):
+        ps = random_point_set(rng, n_points, dim, complex_field)
+        for k in (1, 2):
+            tracemalloc.start()
+            try:
+                defect = design_defect(ps, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget + slack, (complex_field, k, peak)
+            assert defect == strip_defect(ps, k)
 
 
 def test_tensor_defect_explicit_agrees_with_gram_sum():

@@ -8,7 +8,8 @@ from ripforge.certify import las_vegas
 from ripforge.constructors import (alltop, composed, devore, golomb_phase, golomb_stacked,
                                    rademacher, weil)
 from ripforge.errors import DimensionMismatch, NonFiniteEntry, ParseError, RipforgeError
-from ripforge.matrix_core import Matrix, gram_strips, matvec, norm, read_cmx, write_cmx
+from ripforge.matrix_core import (Matrix, gram_strips, matvec, norm, read_cmx, reduce_gram_strips,
+                                  write_cmx)
 
 
 def test_norm_examples():
@@ -380,6 +381,22 @@ def test_gram_strips_tile_the_gram(monkeypatch):
                 assert strip.nbytes <= max(budget, row_bytes)
             gram = np.vstack([strip for _, strip in strips])
             assert np.abs(gram - arr.conj().T @ arr).max() <= 1e-12
+
+
+def test_reduce_gram_strips_maps_each_entry_as_a_whole_strip_would(strip_budget):
+    # row chunks of a strip, written over it as float64, give every entry the
+    # bits of the expression on the whole strip; a 301-row strip ends in a ragged chunk
+    rng = np.random.default_rng(2)
+    exprs = [np.abs] + [lambda g, k=k: (g * g.conj()).real ** k for k in (1, 2, 3)]
+    for m, n in ((7, 37), (5, 301), (3, 1)):
+        real = rng.standard_normal((m, n))
+        for arr in (real, real + 1j * rng.standard_normal((m, n))):
+            for func in exprs:
+                got = list(reduce_gram_strips(arr, func, lambda i, vals: (i, vals.copy())))
+                want = [(i, func(strip)) for i, strip in gram_strips(arr)]
+                assert [i for i, _ in got] == [i for i, _ in want]
+                for (_, a), (_, b) in zip(got, want):
+                    assert a.dtype == np.float64 and np.array_equal(a, b), (arr.shape, arr.dtype)
 
 
 def test_cmx_missing_file_raises_oserror(tmp_path):
