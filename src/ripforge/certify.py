@@ -29,8 +29,10 @@ of several b, at least _LEFT_BLOCK_ROWS rows A_a o A_b, against chunks of
 the lexicographic pair rows A_c o A_d; the products with c <= b that a
 block shares with its later b are masked away, 13 % of the useful work at
 N = 80 and 2 % at N = 192.  A chunk and its product stay under
-GRAM_STRIP_BYTES, so the scan holds that plus O(N m) however large
-C(N,2) m grows.  The maximum over ordered quadruples is unchanged.
+GRAM_STRIP_BYTES (8 MiB), so the scan holds that plus O(N m) however large
+C(N,2) m grows; the chunk, left block and product buffers are allocated
+once per call and refilled.  The maximum over ordered quadruples is
+unchanged.
 """
 
 from __future__ import annotations
@@ -169,9 +171,10 @@ def _pair_starts(n: int) -> list[int]:
     return [c * (2 * n - c - 1) // 2 for c in range(n + 1)]
 
 
-def _pair_rows(columns: np.ndarray, starts: list[int], p0: int, p1: int) -> np.ndarray:
-    """Rows A_c o A_d of the pairs p0 <= p < p1, in lexicographic pair order."""
-    out = np.empty((p1 - p0, columns.shape[1]), dtype=columns.dtype)
+def _pair_rows(columns: np.ndarray, starts: list[int], p0: int, p1: int,
+               out: np.ndarray) -> np.ndarray:
+    """Rows A_c o A_d of the pairs p0 <= p < p1, in lexicographic pair order,
+    written into out, p1 - p0 rows of columns' width and dtype."""
     for c in range(bisect.bisect_right(starts, p0) - 1, len(columns) - 1):
         lo, hi = max(p0, starts[c]), min(p1, starts[c + 1])
         if lo >= hi:
@@ -192,9 +195,11 @@ def quad_blocks(arr: np.ndarray):
     c <= b, one prefix of the lexicographic pairs.  Those masked products
     are the price of GEMMs with enough rows.  The pair rows are built in
     chunks so that a chunk and one block's product stay under
-    GRAM_STRIP_BYTES, so the C(N,2) x m table is never held whole.  The
-    sums are in float32 when m <= FLOAT32_SIGN_ROWS and in float64 above,
-    exact either way (see the module docstring).
+    GRAM_STRIP_BYTES (8 MiB), so the C(N,2) x m table is never held whole.
+    The chunk, the left block and the product each go into one buffer
+    allocated once per call, so a yielded sums is valid only until the
+    next item.  The sums are in float32 when m <= FLOAT32_SIGN_ROWS and in
+    float64 above, exact either way (see the module docstring).
     """
     m, n = arr.shape
     dtype = np.float32 if m <= matrix_core.FLOAT32_SIGN_ROWS else np.float64
@@ -208,24 +213,28 @@ def quad_blocks(arr: np.ndarray):
         b0 = b1
     height = max(row0[b1] - row0[b0] for b0, b1 in blocks)
     chunk = max(1, matrix_core.GRAM_STRIP_BYTES // ((m + height) * columns.itemsize))
+    chunk = min(chunk, starts[n] - starts[2])
+    pair_buf = np.empty((chunk, m), dtype=dtype)
+    left_buf = np.empty(height * m, dtype=dtype)
+    prod_buf = np.empty(height * chunk, dtype=dtype)
     for p0 in range(starts[2], starts[n], chunk):           # pairs with c >= 2
         p1 = min(p0 + chunk, starts[n])
-        pairs = _pair_rows(columns, starts, p0, p1)
+        pairs = _pair_rows(columns, starts, p0, p1, pair_buf[:p1 - p0])
         for b0, b1 in blocks:
             q0 = max(p0, starts[b0 + 1])
             if q0 >= p1:
                 break
-            left = np.empty((row0[b1] - row0[b0], m), dtype=dtype)
+            rows = row0[b1] - row0[b0]
+            left = left_buf[:rows * m].reshape(rows, m)
             for b in range(b0, b1):
                 r = row0[b] - row0[b0]
                 np.multiply(columns[:b], columns[b], out=left[r:r + b])
-            prod = left @ pairs[q0 - p0:].T
+            prod = prod_buf[:rows * (p1 - q0)].reshape(rows, p1 - q0)
+            np.matmul(left, pairs[q0 - p0:].T, out=prod)
             for b in range(b0, b1):
                 r, off = row0[b] - row0[b0], max(0, starts[b + 1] - q0)
                 if off < prod.shape[1]:
                     yield b, q0 + off, prod[r:r + b, off:]
-            del left, prod  # or the next block's are allocated while these are alive
-        del pairs
 
 
 def condition_b(A, kappa: float) -> ConditionCheck:
@@ -234,7 +243,8 @@ def condition_b(A, kappa: float) -> ConditionCheck:
     Vacuous for N < 4.  A running max over quad_blocks, which yields each
     4-subset sum exactly once: C(N,4) m multiply-adds plus the masked
     products of its left blocks (13 % more at N = 80, 2 % at N = 192),
-    holding at most GRAM_STRIP_BYTES of pair rows and products plus O(N m).
+    holding at most GRAM_STRIP_BYTES (8 MiB) of pair rows and products,
+    allocated once per call, plus O(N m).
     The witness is the lexicographically smallest sorted 4-subset that
     attains the maximum; the order in which blocks and chunks arrive does
     not change it.
@@ -250,7 +260,6 @@ def condition_b(A, kappa: float) -> ConditionCheck:
     best: tuple[int, ...] | None = None
     for b, p0, sums in quad_blocks(arr):
         vals = np.abs(sums)  # exact integers
-        del sums  # or it keeps its block's product alive into the next block
         a, i = np.unravel_index(int(np.argmax(vals)), vals.shape)
         val = float(vals[a, i])
         p = p0 + int(i)
@@ -327,7 +336,6 @@ def _hollow_gram(arr: np.ndarray) -> np.ndarray:
         for k, row in enumerate(strip):
             row /= norms[i + k] * norms
         hollow[i:i + len(strip)] = strip
-        del strip, row  # the next strip's product runs beside H alone
     np.fill_diagonal(hollow, 0.0)
     return hollow
 
@@ -437,7 +445,9 @@ def probe_l1(A, s: int, trials: int, seed: int) -> ProbeReport:
     underestimate the true distortion, never certify it.  Trials are drawn
     in blocks of 2048 by _sparse_trials; that seed -> sample mapping is
     sampler version PROBE_SAMPLER, recorded in the report.  Each block's
-    product A X is formed in column chunks under GRAM_STRIP_BYTES.
+    product A X is formed in column chunks under GRAM_STRIP_BYTES (8 MiB),
+    into one product buffer and, for a complex A, one |A X| buffer, both
+    allocated once per call.
     """
     arr = as_array(A)
     m, n = arr.shape
@@ -451,15 +461,17 @@ def probe_l1(A, s: int, trials: int, seed: int) -> ProbeReport:
 
     lo, hi = math.inf, -math.inf
     block_size = 2048
-    itemsize = np.result_type(arr.dtype, np.float64).itemsize  # of the product A X
-    width = max(1, matrix_core.GRAM_STRIP_BYTES // (m * itemsize))
+    dtype = np.result_type(arr.dtype, np.float64)  # of the product A X
+    width = max(1, min(block_size, trials, matrix_core.GRAM_STRIP_BYTES // (m * dtype.itemsize)))
+    prod_buf = np.empty(m * width, dtype=dtype)
+    abs_buf = np.empty(m * width) if complex_field else prod_buf  # |A X| in place if real
     for start in range(0, trials, block_size):
         X = _sparse_trials(rng, n, s, min(block_size, trials - start), complex_field)
         for j in range(0, X.shape[1], width):
             chunk = X[:, j:j + width]
-            Y = arr @ chunk
-            l1 = (np.abs(Y) if complex_field else np.abs(Y, out=Y)).sum(axis=0)  # in place
-            del Y  # or the next chunk's product is allocated while this one is alive
+            size = m * chunk.shape[1]
+            Y = np.matmul(arr, chunk, out=prod_buf[:size].reshape(m, -1))
+            l1 = np.abs(Y, out=abs_buf[:size].reshape(m, -1)).sum(axis=0)
             ratios = l1 / np.linalg.norm(chunk, axis=0)
             lo = min(lo, float(ratios.min()))
             hi = max(hi, float(ratios.max()))

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteEntry, ParseError
 
 CMX_MAGIC = "#cmx 1"
-GRAM_STRIP_BYTES = 32 << 20  # largest Gram strip, the one strip-sized array a consumer holds
+GRAM_STRIP_BYTES = 8 << 20   # budget of the strip-sized arrays a call allocates once
 FLOAT32_SIGN_ROWS = 1 << 24  # most rows over which +-1 product sums stay exact in float32
 CMX_BLOCK_PARTS = 1 << 15    # float64 parts write_cmx formats per block of rows
 CMX_CACHE_ENTRIES = 1 << 14  # most tokens read_cmx, or bit patterns write_cmx, keeps at once
@@ -93,16 +93,20 @@ def matvec(A, x) -> np.ndarray:
 
 def gram_strips(X):
     """Yield (i, X[:, i:j]^H X): the column Gram of X as consecutive full-width
-    row strips, each under GRAM_STRIP_BYTES, so no N x N Gram is ever held.
-    The generator keeps no reference to a strip it has yielded, but a loop
-    variable does: a consumer that drops the strip and every view of it
-    before asking for the next holds one strip, not two."""
+    row strips, each under GRAM_STRIP_BYTES (8 MiB), so no N x N Gram is
+    ever held.
+
+    Every strip is computed into one buffer allocated once per call, so a
+    strip is valid only until the next is asked for: a consumer that keeps
+    one longer must copy it, and may overwrite it in place.
+    """
     arr = as_array(X)
     n = arr.shape[1]
-    itemsize = np.result_type(arr.dtype, np.float64).itemsize
-    height = max(1, GRAM_STRIP_BYTES // (n * itemsize))
+    dtype = np.result_type(arr.dtype, np.float64)
+    height = min(n, max(1, GRAM_STRIP_BYTES // (n * dtype.itemsize)))
+    buf = np.empty((height, n), dtype=dtype)
     for i in range(0, n, height):
-        yield i, arr[:, i:i + height].conj().T @ arr
+        yield i, np.matmul(arr[:, i:i + height].conj().T, arr, out=buf[:n - i])
 
 
 def reduce_gram_strips(X, func, reduce):
@@ -114,16 +118,14 @@ def reduce_gram_strips(X, func, reduce):
     into S's own buffer viewed as float64 from its start.  For a complex S,
     float row r overlaps only complex rows below r/2 + 1, which the forward
     pass has already read.  reduce gets that float64 view, may change it in
-    place, and must keep no reference to it; S and the view are dropped
-    before the next strip's product is formed.
+    place, and must keep no reference to it: the next strip's product
+    overwrites it.
     """
     for i, strip in gram_strips(X):
         vals = strip.reshape(-1).view(np.float64)[:strip.size].reshape(strip.shape)
         for a in range(0, len(strip), _STRIP_ROW_CHUNK):
             vals[a:a + _STRIP_ROW_CHUNK] = func(strip[a:a + _STRIP_ROW_CHUNK])
-        result = reduce(i, vals)
-        del strip, vals
-        yield result
+        yield reduce(i, vals)
 
 
 def write_cmx(A: Matrix, path) -> None:

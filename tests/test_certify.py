@@ -111,7 +111,7 @@ def _odd_shapes():
 
 
 def test_gram_reducer_matches_strip_referee_bit_for_bit(strip_budget, strip_max_pair):
-    # the job-sized gallery spans strips of 954, 949 and 1909 rows at the shipped budget
+    # the job-sized gallery spans strips of 238, 237 and 477 rows at the shipped budget
     cases = _odd_shapes() + [rademacher(*draw).data for draw in SIGN_DRAWS]
     if strip_budget == "default":
         cases += [make(*args).data for make, args in GALLERY]
@@ -510,6 +510,25 @@ def test_probe_l1_chunks_match_dense_referee(strip_budget):
             lo, hi = _dense_probe(mat.data, 2, 2100, seed)
             assert report.min_ratio == pytest.approx(lo, rel=1e-12), (mat.meta, seed)
             assert report.max_ratio == pytest.approx(hi, rel=1e-12), (mat.meta, seed)
+
+
+@pytest.mark.parametrize("budget", [1 << 20, 4 << 20])
+def test_probe_l1_holds_one_product_chunk(monkeypatch, budget):
+    # allowed: one column chunk's product A X under the budget, its |A X| of
+    # half that beside it when A is complex, and O(N) per trial of one block;
+    # a whole block's product is 32 MiB real and 64 MiB complex here
+    m, n, trials = 2048, 8, 2100
+    monkeypatch.setattr("ripforge.matrix_core.GRAM_STRIP_BYTES", budget)
+    slack = 3 * n * 2048 * 16  # under a budget, so a second product cannot hide in it
+    rng = np.random.default_rng(7)
+    real = rng.standard_normal((m, n))
+    for mat in (Matrix(real), Matrix(real + 1j * rng.standard_normal((m, n)))):
+        report, peak = _traced_peak(lambda: probe_l1(mat, 2, trials, seed=1))
+        held = budget * 3 // 2 if mat.field_name == "complex" else budget
+        assert peak <= held + slack, (mat.field_name, peak)
+        lo, hi = _dense_probe(mat.data, 2, trials, 1)
+        assert report.min_ratio == pytest.approx(lo, rel=1e-12), mat.field_name
+        assert report.max_ratio == pytest.approx(hi, rel=1e-12), mat.field_name
 
 
 def test_certify_sign_matrix_report():

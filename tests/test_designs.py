@@ -131,7 +131,7 @@ def test_design_defect_matches_strip_referee_bit_for_bit(strip_budget, strip_def
     sets = [random_point_set(rng, n_points, dim, complex_field)
             for n_points, dim in ((37, 5), (301, 3), (1, 4), (2, 7))
             for complex_field in (False, True)]
-    if strip_budget == "default":  # strips of 690 and 1909 rows
+    if strip_budget == "default":  # 18 strips of 171 rows and one of 169
         sets += [matrix_to_design(golomb_stacked(23), 2)[0], matrix_to_design(devore(13, 2), 1)[0]]
     for ps in sets:
         for k in (1, 2, 3):

@@ -374,7 +374,12 @@ def test_gram_strips_tile_the_gram(monkeypatch):
         for budget in (shipped, 1000, 1):  # one strip, a few rows each, one row each
             monkeypatch.setattr(matrix_core, "GRAM_STRIP_BYTES", budget)
             height = min(23, max(1, budget // row_bytes))
-            strips = list(gram_strips(Matrix(arr)))
+            strips, bases = [], []
+            for i, strip in gram_strips(Matrix(arr)):  # each valid until the next
+                strips.append((i, strip.copy()))
+                bases.append(strip.base)
+            assert bases[0] is not None
+            assert all(base is bases[0] for base in bases)  # one buffer per call
             assert [i for i, _ in strips] == list(range(0, 23, height))
             for i, strip in strips:
                 assert strip.shape == (min(height, 23 - i), 23)
