@@ -48,10 +48,11 @@ import numpy as np
 from . import matrix_core
 from .constructors import rademacher
 from .errors import InvalidParams, NotSignMatrix, RoundsExhausted, TooLarge, ZeroColumn
-from .matrix_core import Matrix, as_array, gram_strips, reduce_gram_strips
+from .matrix_core import Matrix, as_array, reduce_gram_strips
 
 SUBSEED_DERIVATION = "numpy SeedSequence((seed, round)), first uint64 word"
-PROBE_SAMPLER = 2  # version of probe_l1's seed -> sample mapping
+SAMPLER = 2         # version of _sparse_trials' seed -> sample mapping
+SAMPLE_BLOCK = 2048  # most vectors _sparse_trials draws at once
 RIC_SUBSET_CAP = 1_000_000  # most s-subsets exact_ric enumerates at s >= 3
 _LEFT_BLOCK_ROWS = 128      # least rows A_a o A_b that quad_blocks multiplies at once
 
@@ -326,16 +327,16 @@ def theorem1_bound(kappa: float, delta: float, s: int) -> Theorem1Bound:
 
 
 def _hollow_gram(arr: np.ndarray) -> np.ndarray:
-    """H = A^H A over unit columns with its diagonal set to 0: the Gram-strip
-    entries that _max_pair reduces, divided by the same norms[j] * norms[l],
-    so every |H_jl| is within an ulp of the value coherence maximizes."""
+    """H = A^H A over unit columns with its diagonal set to 0: the Gram entries
+    that _max_pair reduces, divided by the same norms[j] * norms[l], so every
+    |H_jl| is within an ulp of the value coherence maximizes.  exact_ric's
+    subset cap bounds N (182 at s = 3, 71 at s = 4), so H is one product:
+    the Gram strips would hold it whole too.  The rows are divided in place,
+    so nothing else N x N is held beside H."""
     norms = column_norms(arr)
-    n = arr.shape[1]
-    hollow = np.empty((n, n), dtype=np.result_type(arr.dtype, np.float64))
-    for i, strip in gram_strips(arr):
-        for k, row in enumerate(strip):
-            row /= norms[i + k] * norms
-        hollow[i:i + len(strip)] = strip
+    hollow = arr.conj().T @ arr
+    for j, row in enumerate(hollow):
+        row /= norms[j] * norms
     np.fill_diagonal(hollow, 0.0)
     return hollow
 
@@ -419,32 +420,38 @@ def exact_ric(A, s: int) -> float:
     return worst
 
 
-def _sparse_trials(rng: np.random.Generator, n: int, s: int, b: int,
-                   complex_field: bool) -> np.ndarray:
-    """b random s-sparse vectors as the columns of an (n, b) array.
+def _sparse_trials(seed: int, n: int, s: int, trials: int, complex_field: bool):
+    """Yield trials random s-sparse vectors of length n as the columns of
+    (n, b) blocks, b at most SAMPLE_BLOCK, all drawn from default_rng(seed).
 
     Each support is the positions of the s smallest of n uniforms, one row
-    of a (b, n) draw, so it is a uniform s-subset; the nonzeros are one
-    (b, s) draw of standard (real or circular complex) Gaussians.
+    of a (b, n) draw per block, so it is a uniform s-subset; the nonzeros
+    are one (b, s) draw of standard (real or circular complex) Gaussians.
+    At s = n every vector is dense Gaussian.  This seed -> sample mapping,
+    block size included, is sampler version SAMPLER.
     """
-    support = np.argpartition(rng.random((b, n)), s - 1, axis=1)[:, :s]
-    if complex_field:
-        vals = (rng.standard_normal((b, s)) + 1j * rng.standard_normal((b, s))) / math.sqrt(2)
-    else:
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, SAMPLE_BLOCK):
+        b = min(SAMPLE_BLOCK, trials - start)
+        support = np.argpartition(rng.random((b, n)), s - 1, axis=1)[:, :s]
         vals = rng.standard_normal((b, s))
-    X = np.zeros((n, b), dtype=vals.dtype)
-    X[support, np.arange(b)[:, None]] = vals
-    return X
+        if complex_field:  # (re + 1j im) / sqrt(2), with one complex (b, s) array
+            vals = vals.astype(complex)
+            vals.imag = rng.standard_normal((b, s))
+            vals /= math.sqrt(2)
+        X = np.zeros((n, b), dtype=vals.dtype)
+        X[support, np.arange(b)[:, None]] = vals
+        del support, vals  # support views the whole (b, n) argpartition
+        yield X
 
 
 def probe_l1(A, s: int, trials: int, seed: int) -> ProbeReport:
     """Sample s-sparse vectors and report the spread of ||Ax||_1 / ||x||_2.
 
     Supports are uniform s-subsets, nonzeros are standard (real or
-    circular complex) Gaussians.  The reported spread can only
-    underestimate the true distortion, never certify it.  Trials are drawn
-    in blocks of 2048 by _sparse_trials; that seed -> sample mapping is
-    sampler version PROBE_SAMPLER, recorded in the report.  Each block's
+    circular complex) Gaussians, drawn by _sparse_trials (sampler version
+    SAMPLER, recorded in the report).  The reported spread can only
+    underestimate the true distortion, never certify it.  Each block's
     product A X is formed in column chunks under GRAM_STRIP_BYTES (8 MiB),
     into one product buffer and, for a complex A, one |A X| buffer, both
     allocated once per call.
@@ -456,17 +463,14 @@ def probe_l1(A, s: int, trials: int, seed: int) -> ProbeReport:
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
     column_norms(arr)  # a zero column gives a zero ratio at s = 1
-    rng = np.random.default_rng(seed)
     complex_field = np.iscomplexobj(arr)
 
     lo, hi = math.inf, -math.inf
-    block_size = 2048
     dtype = np.result_type(arr.dtype, np.float64)  # of the product A X
-    width = max(1, min(block_size, trials, matrix_core.GRAM_STRIP_BYTES // (m * dtype.itemsize)))
+    width = max(1, min(SAMPLE_BLOCK, trials, matrix_core.GRAM_STRIP_BYTES // (m * dtype.itemsize)))
     prod_buf = np.empty(m * width, dtype=dtype)
     abs_buf = np.empty(m * width) if complex_field else prod_buf  # |A X| in place if real
-    for start in range(0, trials, block_size):
-        X = _sparse_trials(rng, n, s, min(block_size, trials - start), complex_field)
+    for X in _sparse_trials(seed, n, s, trials, complex_field):
         for j in range(0, X.shape[1], width):
             chunk = X[:, j:j + width]
             size = m * chunk.shape[1]
@@ -476,7 +480,7 @@ def probe_l1(A, s: int, trials: int, seed: int) -> ProbeReport:
             lo = min(lo, float(ratios.min()))
             hi = max(hi, float(ratios.max()))
     return ProbeReport(trials=trials, min_ratio=lo, max_ratio=hi,
-                       empirical_distortion=hi / lo, sampler=PROBE_SAMPLER)
+                       empirical_distortion=hi / lo, sampler=SAMPLER)
 
 
 def certify_sign_matrix(A, kappa: float | None = None) -> CertReport:

@@ -57,12 +57,6 @@ def _kappa_value(text: str, n_cols: int) -> float:
     return value
 
 
-def _random_vector(rng, n: int, complex_field: bool):
-    if complex_field:
-        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-    return rng.standard_normal(n)
-
-
 # -- construct ----------------------------------------------------------------
 
 def _cmd_construct(args) -> tuple[dict, bool]:
@@ -81,8 +75,7 @@ def _cmd_construct(args) -> tuple[dict, bool]:
         mat = constructors.rademacher(args.m, args.N, args.seed)
     elif args.family == "lasvegas":
         kappa = _kappa_value(args.kappa, args.N)
-        mat, rounds = certify.las_vegas(args.m, args.N, kappa=kappa,
-                                        max_rounds=args.max_rounds, seed=args.seed)
+        mat, rounds = certify.las_vegas(args.m, args.N, kappa=kappa, seed=args.seed)
         extra = {"rounds_used": rounds, "kappa": kappa}
     else:  # composed
         mat = constructors.composed(args.s, args.N, p=args.p)
@@ -131,16 +124,19 @@ def _cmd_probe(args) -> tuple[dict, bool]:
 
 def _cmd_verify(args) -> tuple[dict, bool]:
     mat = matrix_core.read_cmx(args.file)
-    rng = np.random.default_rng(args.seed)
-    complex_field = mat.field_name == "complex"
+    # dense Gaussian vectors, the s = N draws of the one sampler; each gets its own
+    # matrix-vector product, since a threaded multi-column product on a tall
+    # complex matrix stays megabytes more resident
+    vectors = (x for X in certify._sparse_trials(args.seed, mat.cols, mat.cols, args.trials,
+                                                 mat.field_name == "complex") for x in X.T)
+    common = {"property": args.property, "trials": args.trials, "sampler": certify.SAMPLER}
 
     if args.property == "identities":
         max_gap = max_rel_gap = 0.0
         tensor = analysis.quadruple_tensor(mat)  # independent of x, like P and Q: once per run
         pairs = analysis.pair_sums(mat)
         square_pairs = analysis.square_pair_sums(mat)
-        for _ in range(args.trials):
-            x = _random_vector(rng, mat.cols, complex_field)
+        for x in vectors:
             rep = analysis.l2_identity(mat, x, pairs)
             max_gap = max(max_gap, rep.abs_gap)
             max_rel_gap = max(max_rel_gap, rep.abs_gap / rep.direct_value)
@@ -149,33 +145,29 @@ def _cmd_verify(args) -> tuple[dict, bool]:
             max_gap = max(max_gap, gap)
             max_rel_gap = max(max_rel_gap, gap / rep.direct_value)
         ok = max_gap <= IDENTITY_TOL
-        return {"property": "identities", "trials": args.trials, "max_gap": max_gap,
-                "max_rel_gap": max_rel_gap, "l4_checked": True,
+        return {**common, "max_gap": max_gap, "max_rel_gap": max_rel_gap, "l4_checked": True,
                 "tolerance": IDENTITY_TOL, "pass": ok}, ok
 
     if args.property == "isometry":
         worst = 0.0
-        for _ in range(args.trials):
-            x = _random_vector(rng, mat.cols, complex_field)
+        for x in vectors:
             nx = matrix_core.norm(x, 2)
             y = matrix_core.matvec(mat, x)
             worst = max(worst, abs(matrix_core.norm(y, 4) - nx) / nx)
         ok = worst <= ISOMETRY_RTOL
-        return {"property": "isometry", "trials": args.trials,
-                "max_rel_deviation": worst, "tolerance": ISOMETRY_RTOL, "pass": ok}, ok
+        return {**common, "max_rel_deviation": worst, "tolerance": ISOMETRY_RTOL,
+                "pass": ok}, ok
 
     # embedding: m/sqrt(2) ||x||_2 <= ||Ax||_1 <= m ||x||_2
     certify.column_norms(mat)  # a zero column violates the lower bound at x = e_j
     m = mat.rows
     lo, hi = math.inf, -math.inf
-    for _ in range(args.trials):
-        x = _random_vector(rng, mat.cols, complex_field)
+    for x in vectors:
         r1 = matrix_core.norm(matrix_core.matvec(mat, x), 1) / matrix_core.norm(x, 2)
         lo, hi = min(lo, r1), max(hi, r1)
     ok = lo >= m / math.sqrt(2) * (1 - EMBEDDING_SLACK) and hi <= m * (1 + EMBEDDING_SLACK)
-    return {"property": "embedding", "trials": args.trials, "min_ratio": lo,
-            "max_ratio": hi, "lower_bound": m / math.sqrt(2), "upper_bound": float(m),
-            "empirical_distortion": hi / lo, "pass": ok}, ok
+    return {**common, "min_ratio": lo, "max_ratio": hi, "lower_bound": m / math.sqrt(2),
+            "upper_bound": float(m), "empirical_distortion": hi / lo, "pass": ok}, ok
 
 
 # -- design -------------------------------------------------------------------
@@ -203,18 +195,15 @@ def _cmd_recover(args) -> tuple[dict, bool]:
     mat = matrix_core.read_cmx(args.file)
     if not 1 <= args.s <= mat.cols:
         raise RipforgeError(f"--s must lie in [1, {mat.cols}], got {args.s}")
-    rng = np.random.default_rng(args.seed)
-    support = rng.choice(mat.cols, size=args.s, replace=False)
-    x0 = np.zeros(mat.cols,
-                  dtype=np.complex128 if mat.field_name == "complex" else np.float64)
-    x0[support] = _random_vector(rng, args.s, mat.field_name == "complex")
+    x0 = next(certify._sparse_trials(args.seed, mat.cols, args.s, 1,
+                                     mat.field_name == "complex"))[:, 0]
     y = mat.data @ x0
     result = recovery.iht(mat, y, args.s)
     rel_error = float(np.linalg.norm(result.estimate - x0) / np.linalg.norm(x0))
     ok = rel_error <= RECOVERY_TOL
     return {"s": args.s, "iterations": result.iterations, "converged": result.converged,
             "rel_error": rel_error, "recovered": ok,
-            "final_residual": result.residual_history[-1]}, ok
+            "final_residual": result.residual_history[-1], "sampler": certify.SAMPLER}, ok
 
 
 # -- parser -------------------------------------------------------------------
@@ -261,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--N", type=int, required=True)
     c.add_argument("--kappa", default="auto", help="'auto' = sqrt(8 ln N), or a number")
-    c.add_argument("--max-rounds", type=int, default=64)
     c.add_argument("--seed", type=_nonneg_int, required=True)
     c = conf.add_parser("composed", description="Golomb-ruler phase matrix times Weil "
                         "matrix: an explicit l2 -> l1 embedding on s-sparse vectors.")
@@ -310,7 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     pro.set_defaults(handler=_cmd_probe)
 
     ver = sub.add_parser("verify", help="check identities / isometry / embedding bounds",
-                         description="Verify analytic properties on random vectors.")
+                         description="Verify analytic properties on dense Gaussian "
+                         "vectors, drawn by probe's sampler at s = N: the report's "
+                         "'sampler' names its version, and a seed reproduces its samples "
+                         "only within one version.")
     verf = ver.add_subparsers(dest="property", required=True)
     c = verf.add_parser("identities", description="Check the exact l2/l4 norm expansions "
                         "for a unimodular matrix of at most 32 columns on random "
@@ -352,7 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     rec = sub.add_parser("recover", help="iterative hard thresholding demo",
                          description="Draw a random s-sparse vector, measure it with the "
-                         "stored matrix, and recover it by iterative hard thresholding.")
+                         "stored matrix, and recover it by iterative hard thresholding.  "
+                         "The vector is the first trial probe's sampler draws at this "
+                         "seed; the report's 'sampler' names its version, and a seed "
+                         "reproduces its vector only within one version.")
     rec.add_argument("file")
     rec.add_argument("--s", type=int, required=True)
     rec.add_argument("--seed", type=_nonneg_int, required=True)

@@ -256,10 +256,9 @@ def _scan(fh) -> tuple[bool, int, int, dict]:
 class _FloatCache(dict):
     """float(token) of each token looked up, parsed on its first lookup.
 
-    parse() maps a line's tokens through the cache.  A line that is mostly
-    misses is parsed whole with float and added in one update; otherwise
-    __missing__ parses each miss.  Before a line that might take the cache
-    past CMX_CACHE_ENTRIES, it is cleared; but if more than half the tokens
+    parse() maps a line's tokens through the cache, and __missing__ parses
+    and adds each miss.  Before a line that might take the cache past
+    CMX_CACHE_ENTRIES, it is cleared; but if more than half the tokens
     looked up since the last clear were misses (each distinct miss adds one
     entry), it gives up, and every later line goes through plain float.  A
     line with more tokens than the cache holds does too.
@@ -282,14 +281,7 @@ class _FloatCache(dict):
         if self.given_up or len(tokens) > CMX_CACHE_ENTRIES:
             return list(map(float, tokens))
         self.seen += len(tokens)
-        values = list(map(self.get, tokens))
-        misses = values.count(None)
-        if 2 * misses > len(tokens):
-            values = list(map(float, tokens))
-            self.update(zip(tokens, values))
-        elif misses:
-            values = list(map(self.__getitem__, tokens))
-        return values
+        return list(map(self.__getitem__, tokens))
 
 
 def read_cmx(path) -> Matrix:

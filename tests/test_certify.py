@@ -339,10 +339,10 @@ def test_exact_ric_examples():
 
 
 def test_exact_ric_at_one_builds_no_gram(monkeypatch):
-    def no_strips(arr):
-        raise AssertionError("delta_1 needs no Gram strip")
-    monkeypatch.setattr(certify, "gram_strips", no_strips)
-    monkeypatch.setattr(matrix_core, "gram_strips", no_strips)  # behind reduce_gram_strips
+    def no_gram(arr):
+        raise AssertionError("delta_1 needs no Gram")
+    monkeypatch.setattr(certify, "_hollow_gram", no_gram)
+    monkeypatch.setattr(matrix_core, "gram_strips", no_gram)  # behind reduce_gram_strips
     assert exact_ric(weil(5, 2), 1) == 0.0
     assert exact_ric(Matrix(np.ones((1, 1_000_001))), 1) == 0.0  # no subset cap
     with pytest.raises(ZeroColumn):
@@ -456,7 +456,9 @@ def test_probe_l1_single_column_activation():
 
 def test_probe_supports_are_uniform_s_subsets():
     n, s, draws = 5, 2, 100_000
-    X = certify._sparse_trials(np.random.default_rng(12), n, s, draws, complex_field=False)
+    blocks = list(certify._sparse_trials(12, n, s, draws, complex_field=False))
+    assert [X.shape[1] for X in blocks] == [2048] * 48 + [1696]  # the sampler's blocks
+    X = np.concatenate(blocks, axis=1)
     nonzero = X != 0.0
     assert (nonzero.sum(axis=0) == s).all()  # s distinct indices per trial
     subsets, counts = np.unique(nonzero.T, axis=0, return_counts=True)
@@ -468,9 +470,8 @@ def test_probe_supports_are_uniform_s_subsets():
 
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_probe_sampler_edges(complex_field):
-    rng = np.random.default_rng(4)
-    one = certify._sparse_trials(rng, 6, 1, 500, complex_field)
-    full = certify._sparse_trials(rng, 6, 6, 500, complex_field)
+    one, = certify._sparse_trials(4, 6, 1, 500, complex_field)
+    full, = certify._sparse_trials(4, 6, 6, 500, complex_field)
     assert ((one != 0).sum(axis=0) == 1).all()
     assert set(np.nonzero(one)[0]) == set(range(6))
     assert (full != 0).all()
@@ -484,17 +485,14 @@ def test_probe_l1_single_column_on_real_matrix():
     report = probe_l1(Matrix(data), 1, trials=300, seed=2)
     assert report.min_ratio == pytest.approx(col_l1.min(), rel=1e-12)
     assert report.max_ratio == pytest.approx(col_l1.max(), rel=1e-12)
-    assert report.sampler == certify.PROBE_SAMPLER == 2
+    assert report.sampler == certify.SAMPLER == 2
 
 
 def _dense_probe(arr: np.ndarray, s: int, trials: int, seed: int) -> tuple[float, float]:
     """Smallest and largest l1/l2 ratio of probe_l1's trials, each block's
     product A X formed whole."""
-    rng = np.random.default_rng(seed)
     ratios = []
-    for start in range(0, trials, 2048):
-        X = certify._sparse_trials(rng, arr.shape[1], s, min(2048, trials - start),
-                                   np.iscomplexobj(arr))
+    for X in certify._sparse_trials(seed, arr.shape[1], s, trials, np.iscomplexobj(arr)):
         ratios.append(np.abs(arr @ X).sum(axis=0) / np.linalg.norm(X, axis=0))
     ratios = np.concatenate(ratios)
     return float(ratios.min()), float(ratios.max())

@@ -131,11 +131,12 @@ def test_help_exists_for_every_subcommand(capsys):
 
 
 def test_lasvegas_exhaustion_exits_1(capsys):
+    # m = 1 puts every pair sum at 1 > 0.01: each of the default 64 rounds fails
     code, report = run_json(capsys, ["construct", "lasvegas", "--m", "1", "--N", "16",
-                                     "--kappa", "0.01", "--max-rounds", "3",
-                                     "--seed", "0", "-o", "/tmp/never.cmx"])
+                                     "--kappa", "0.01", "--seed", "0",
+                                     "-o", "/tmp/never.cmx"])
     assert code == 1
-    assert report["rounds"] == 3
+    assert report["rounds"] == 64
     assert report["max_pair_sum"] >= 1
 
 
@@ -143,14 +144,33 @@ def test_seeded_output_is_byte_identical(tmp_path, capsys):
     path = str(tmp_path / "lv.cmx")
     assert run(["construct", "lasvegas", "--m", "64", "--N", "16", "--seed", "5",
                 "-o", path]) == 0
+    stacked = str(tmp_path / "gs.cmx")
+    assert run(["construct", "golomb-stacked", "--p", "5", "-o", stacked]) == 0
     capsys.readouterr()
-    argv = ["probe", path, "--s", "2", "--trials", "200", "--seed", "11"]
-    assert run(argv) == 0
-    first = capsys.readouterr().out
-    assert run(argv) == 0
-    second = capsys.readouterr().out
-    assert first == second
-    assert json.loads(first)["sampler"] == 2
+    for argv in (["probe", path, "--s", "2", "--trials", "200", "--seed", "11"],
+                 ["verify", "isometry", stacked, "--seed", "11", "--trials", "100"],
+                 ["recover", path, "--s", "2", "--seed", "11"]):
+        assert run(argv) == 0
+        first = capsys.readouterr().out
+        assert run(argv) == 0
+        second = capsys.readouterr().out
+        assert first == second, argv
+        assert json.loads(first)["sampler"] == 2, argv
+
+
+@pytest.mark.parametrize("family", ["golomb", "rademacher"])
+def test_verify_embedding_ratios_are_probe_at_full_sparsity(tmp_path, capsys, family):
+    # both draw through one sampler, so at s = N and one seed they see the same vectors
+    path = str(tmp_path / "a.cmx")
+    params = ["--p", "7"] if family == "golomb" else ["--m", "24", "--N", "6", "--seed", "3"]
+    assert run(["construct", family, *params, "-o", path]) == 0
+    n = json.loads(capsys.readouterr().out)["cols"]
+    run(["verify", "embedding", path, "--seed", "5", "--trials", "2100"])  # two blocks
+    embedding = json.loads(capsys.readouterr().out)
+    assert run(["probe", path, "--s", str(n), "--trials", "2100", "--seed", "5"]) == 0
+    probe = json.loads(capsys.readouterr().out)
+    for key in ("min_ratio", "max_ratio"):
+        assert embedding[key] == pytest.approx(probe[key], rel=1e-12, abs=0), key
 
 
 def test_verify_commands(tmp_path, capsys):

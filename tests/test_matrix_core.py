@@ -331,7 +331,7 @@ def _cache_after(lines: list[list[str]]) -> tuple[matrix_core._FloatCache, int]:
 
 def test_float_cache_parses_a_line_by_its_share_of_misses():
     cache = matrix_core._FloatCache()
-    assert cache.parse(["1", "2", "1"]) == [1.0, 2.0, 1.0]  # all misses: one float map
+    assert cache.parse(["1", "2", "1"]) == [1.0, 2.0, 1.0]  # two misses, then a hit
     assert cache.parse(["1", "2", "-0"]) == [1.0, 2.0, -0.0]  # one miss: __missing__
     assert cache.parse(["-0", "2", "1"]) == [-0.0, 2.0, 1.0]  # all hits
     assert sorted(cache) == ["-0", "1", "2"] and cache.seen == 9 and not cache.given_up
