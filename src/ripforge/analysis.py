@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotUnimodular, TooLarge, ZeroVector
+from .errors import InvalidParams
 from .matrix_core import as_array, matvec, norm
 
 UNIMODULAR_TOL = 1e-12
@@ -55,19 +55,14 @@ class IdentityReport:
 def _check_unimodular(B: np.ndarray) -> None:
     dev = float(np.max(np.abs(np.abs(B) - 1.0)))
     if dev > UNIMODULAR_TOL:
-        raise NotUnimodular(f"entry modulus deviates from 1 by {dev:.3e}")
+        raise InvalidParams(f"entry modulus deviates from 1 by {dev:.3e}")
 
 
 def _check_x(B: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1 or x.shape[0] != B.shape[1]:
-        raise DimensionMismatch(f"matrix has {B.shape[1]} columns, x has shape {x.shape}")
+        raise InvalidParams(f"matrix has {B.shape[1]} columns, x has shape {x.shape}")
     return x
-
-
-def _check_square(sums: np.ndarray, r: int) -> None:
-    if sums.shape != (r, r):
-        raise DimensionMismatch(f"pair sums have shape {sums.shape}, x needs {(r, r)}")
 
 
 def _power_sum(v: np.ndarray, e: int) -> float:
@@ -76,38 +71,17 @@ def _power_sum(v: np.ndarray, e: int) -> float:
     return math.fsum(sq if e == 2 else sq * sq)
 
 
-def pair_sums(B) -> np.ndarray:
-    """P(k,k') = sum_j conj(B_{j,k}) B_{j,k'}, diagonal included, for l2_identity."""
+def l2_identity(B, x) -> IdentityReport:
+    """Check ||Bx||_2^2 against its pair-sum expansion, with P = B^H B formed here."""
     B = np.asarray(as_array(B), dtype=np.complex128)
     _check_unimodular(B)
-    return B.conj().T @ B
-
-
-def square_pair_sums(B) -> np.ndarray:
-    """Q(k,k') = sum_j conj(B_{j,k})^2 B_{j,k'}^2, diagonal included, for l4_identity."""
-    B = np.asarray(as_array(B), dtype=np.complex128)
-    _check_unimodular(B)
-    return (B.conj() ** 2).T @ (B**2)
-
-
-def l2_identity(B, x, pairs=None) -> IdentityReport:
-    """Check ||Bx||_2^2 against its pair-sum expansion.
-
-    P comes from pair_sums(B), which also checks that B is unimodular, built
-    here when no `pairs` is passed; it does not depend on x, so a caller
-    checking many vectors builds it once.
-    """
-    B = np.asarray(as_array(B), dtype=np.complex128)
-    if pairs is None:
-        pairs = pair_sums(B)
     x = _check_x(B, x)
     q, r = B.shape
-    _check_square(pairs, r)
 
     direct = _power_sum(B @ x, 2)
     weights = np.outer(x.conj(), x)
     off_diag = ~np.eye(r, dtype=bool)
-    formula = q * _power_sum(x, 2) + (pairs * weights)[off_diag].sum()
+    formula = q * _power_sum(x, 2) + ((B.conj().T @ B) * weights)[off_diag].sum()
     return IdentityReport(direct_value=direct,
                           formula_value=float(formula.real),
                           sigma1=0j, sigma2=0j,
@@ -126,7 +100,7 @@ def quadruple_tensor(B) -> np.ndarray:
     _check_unimodular(B)
     q, r = B.shape
     if r > MAX_QUARTIC_COLS:
-        raise TooLarge(f"quadruple enumeration is quartic; r={r} > {MAX_QUARTIC_COLS}")
+        raise InvalidParams(f"quadruple enumeration is quartic; r={r} > {MAX_QUARTIC_COLS}")
     tensor = np.zeros((r * r, r * r), dtype=np.complex128)
     for i in range(0, q, QUAD_BLOCK_ROWS):
         block = B[i:i + QUAD_BLOCK_ROWS]
@@ -145,7 +119,7 @@ def _tensor_sums(tensor: np.ndarray, x: np.ndarray) -> tuple[complex, complex]:
     swapped coincidences (l,l') = (k',k), whose weight is conj(x_k)^2 x_{k'}^2."""
     r = x.shape[0]
     if tensor.shape != (r * r, r * r):
-        raise DimensionMismatch(f"tensor has shape {tensor.shape}, x needs {(r * r, r * r)}")
+        raise InvalidParams(f"tensor has shape {tensor.shape}, x needs {(r * r, r * r)}")
     w_left = np.outer(x.conj(), x).reshape(r * r)
     sigma1 = complex(w_left @ (tensor @ w_left.conj()))
     k, kp = np.indices((r, r))
@@ -153,23 +127,19 @@ def _tensor_sums(tensor: np.ndarray, x: np.ndarray) -> tuple[complex, complex]:
     return sigma1, sigma1 - complex((np.outer(x.conj() ** 2, x**2) * swapped).sum())
 
 
-def l4_identity(B, x, tensor=None, square_pairs=None) -> IdentityReport:
+def l4_identity(B, x, tensor) -> IdentityReport:
     """Check ||Bx||_4^4 against both quadruple-sum expansions.
 
     `formula_value` uses the S1 form, `formula_value_split` the form that
     isolates the squared-pair sum and S2; both gaps are reported.  Both sums
-    come from quadruple_tensor(B) and Q from square_pair_sums(B), each built
-    here, with its check that B is unimodular, when not passed; neither
-    depends on x.
+    come from `tensor`, which is quadruple_tensor(B): it does not depend on
+    x and is quartic in the columns, so a caller checking many vectors
+    builds it once.  Q is formed here.
     """
     B = np.asarray(as_array(B), dtype=np.complex128)
-    if tensor is None:
-        tensor = quadruple_tensor(B)
-    if square_pairs is None:
-        square_pairs = square_pair_sums(B)
+    _check_unimodular(B)
     x = _check_x(B, x)
     q, r = B.shape
-    _check_square(square_pairs, r)
 
     y = B @ x
     direct = _power_sum(y, 4)
@@ -178,7 +148,7 @@ def l4_identity(B, x, tensor=None, square_pairs=None) -> IdentityReport:
 
     w_sq = np.outer(x.conj() ** 2, x**2)
     off_diag = ~np.eye(r, dtype=bool)
-    pair_term = (square_pairs * w_sq)[off_diag].sum()
+    pair_term = (((B.conj() ** 2).T @ (B**2)) * w_sq)[off_diag].sum()
 
     via_s1 = common + sigma1
     via_s2 = common + pair_term + sigma2
@@ -195,7 +165,7 @@ def holder_floor(y) -> float:
     y = np.asarray(y)
     n4 = norm(y, 4)
     if n4 == 0.0:
-        raise ZeroVector("the l1 floor is undefined for the zero vector")
+        raise InvalidParams("the l1 floor is undefined for the zero vector")
     return norm(y, 2) ** 3 / n4**2
 
 
@@ -204,6 +174,6 @@ def embedding_ratios(A, x) -> tuple[float, float, float]:
     x = np.asarray(x)
     nx = norm(x, 2)
     if nx == 0.0:
-        raise ZeroVector("embedding ratios are undefined for x = 0")
+        raise InvalidParams("embedding ratios are undefined for x = 0")
     y = matvec(A, x)
     return norm(y, 1) / nx, norm(y, 2) / nx, norm(y, 4) / nx

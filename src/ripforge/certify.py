@@ -41,13 +41,14 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from . import matrix_core
 from .constructors import rademacher
-from .errors import InvalidParams, NotSignMatrix, RoundsExhausted, TooLarge, ZeroColumn
+from .errors import InvalidParams, RoundsExhausted
 from .matrix_core import Matrix, as_array, reduce_gram_strips
 
 SUBSEED_DERIVATION = "numpy SeedSequence((seed, round)), first uint64 word"
@@ -99,10 +100,10 @@ class ProbeReport:
 
 
 def column_norms(A) -> np.ndarray:
-    """l2 norms of the columns; raises ZeroColumn if a column is identically zero."""
+    """l2 norms of the columns; raises InvalidParams if a column is identically zero."""
     norms = np.linalg.norm(as_array(A), axis=0)
     if np.any(norms == 0.0):
-        raise ZeroColumn(f"column {int(np.argmin(norms))} is identically zero")
+        raise InvalidParams(f"column {int(np.argmin(norms))} is identically zero")
     return norms
 
 
@@ -149,7 +150,7 @@ def default_kappa(n_cols: int) -> float:
 def _sign_entries(A) -> np.ndarray:
     arr = as_array(A)
     if np.iscomplexobj(arr) or not np.all(np.abs(arr) == 1.0):
-        raise NotSignMatrix("certification requires entries exactly +-1")
+        raise InvalidParams("certification requires entries exactly +-1")
     return arr
 
 
@@ -311,15 +312,18 @@ def las_vegas(m: int, n_cols: int, kappa: float | None = None,
 def theorem1_bound(kappa: float, delta: float, s: int) -> Theorem1Bound:
     """Rows needed and per-unit-m embedding constants for a certified matrix.
 
-    m_required = ceil(kappa^2 delta^-2 s^4); the certified two-sided bounds
-    are alpha*m ||x||_2 <= ||Ax||_1 <= beta*m ||x||_2 on s-sparse x.
+    m_required = ceil(kappa^2 delta^-2 s^4), exact in rational arithmetic and
+    refused from 2^63 rows on; the certified two-sided bounds are
+    alpha*m ||x||_2 <= ||Ax||_1 <= beta*m ||x||_2 on s-sparse x.
     As delta -> 0 the distortion bound tends to sqrt(3).
     """
     if not 0.0 < delta < 1.0:
         raise InvalidParams(f"delta={delta} must lie in (0, 1)")
     if s < 1 or kappa <= 0.0:
         raise InvalidParams("need s >= 1 and kappa > 0")
-    m_required = math.ceil(kappa**2 / delta**2 * s**4)
+    m_required = math.ceil(Fraction(kappa) ** 2 * s**4 / Fraction(delta) ** 2)
+    if m_required >= 2**63:
+        raise InvalidParams("m_required = ceil(kappa^2 s^4 / delta^2) reaches 2^63 rows")
     alpha = math.sqrt((1.0 - delta) ** 3 / (3.0 * (1.0 + delta)))
     beta = math.sqrt(1.0 + delta)
     return Theorem1Bound(m_required=m_required, alpha=alpha, beta=beta,
@@ -402,7 +406,7 @@ def exact_ric(A, s: int) -> float:
         return _max_pair(arr, column_norms(arr))[0]
     n_subsets = math.comb(n, s)
     if n_subsets > RIC_SUBSET_CAP:
-        raise TooLarge(f"C({n},{s}) = {n_subsets} subsets exceeds the cap {RIC_SUBSET_CAP}")
+        raise InvalidParams(f"C({n},{s}) = {n_subsets} subsets exceeds the cap {RIC_SUBSET_CAP}")
     hollow = _hollow_gram(arr)
     if s == 3:
         return _max_triple(hollow)

@@ -19,7 +19,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import analysis, certify, constructors, designs, matrix_core, recovery
-from .errors import RipforgeError, RoundsExhausted
+from .errors import InvalidParams, RipforgeError, RoundsExhausted
 
 IDENTITY_TOL = 1e-8
 ISOMETRY_RTOL = 1e-10
@@ -53,7 +53,7 @@ def _kappa_value(text: str, n_cols: int) -> float:
     except ValueError:
         value = math.nan
     if not (math.isfinite(value) and value > 0.0):
-        raise RipforgeError(f"--kappa must be 'auto' or a finite number > 0, got {text!r}")
+        raise InvalidParams(f"--kappa must be 'auto' or a finite number > 0, got {text!r}")
     return value
 
 
@@ -100,7 +100,7 @@ def _cmd_certify(args) -> tuple[dict, bool]:
         return {"s": args.s, "delta_s": delta_s, "coherence": mu,
                 "s_mu_bound": args.s * mu}, True
     if (args.delta is None) != (args.s is None):
-        raise RipforgeError("--delta and --s must be given together")
+        raise InvalidParams("--delta and --s must be given together")
     kappa = _kappa_value(args.kappa, mat.cols)
     bound = {}
     if args.delta is not None:  # Theorem 1 needs kappa, delta and s, not A: check before the scan
@@ -133,14 +133,12 @@ def _cmd_verify(args) -> tuple[dict, bool]:
 
     if args.property == "identities":
         max_gap = max_rel_gap = 0.0
-        tensor = analysis.quadruple_tensor(mat)  # independent of x, like P and Q: once per run
-        pairs = analysis.pair_sums(mat)
-        square_pairs = analysis.square_pair_sums(mat)
+        tensor = analysis.quadruple_tensor(mat)  # independent of x and quartic: once per run
         for x in vectors:
-            rep = analysis.l2_identity(mat, x, pairs)
+            rep = analysis.l2_identity(mat, x)
             max_gap = max(max_gap, rep.abs_gap)
             max_rel_gap = max(max_rel_gap, rep.abs_gap / rep.direct_value)
-            rep = analysis.l4_identity(mat, x, tensor, square_pairs)
+            rep = analysis.l4_identity(mat, x, tensor)
             gap = max(rep.abs_gap, rep.abs_gap_split)
             max_gap = max(max_gap, gap)
             max_rel_gap = max(max_rel_gap, gap / rep.direct_value)
@@ -194,7 +192,7 @@ def _cmd_design(args) -> tuple[dict, bool]:
 def _cmd_recover(args) -> tuple[dict, bool]:
     mat = matrix_core.read_cmx(args.file)
     if not 1 <= args.s <= mat.cols:
-        raise RipforgeError(f"--s must lie in [1, {mat.cols}], got {args.s}")
+        raise InvalidParams(f"--s must lie in [1, {mat.cols}], got {args.s}")
     x0 = next(certify._sparse_trials(args.seed, mat.cols, args.s, 1,
                                      mat.field_name == "complex"))[:, 0]
     y = mat.data @ x0

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidModulus, InvalidParams
+from .errors import InvalidParams
 from .golomb import build_ruler
 from .matrix_core import Matrix
 from .num_theory import MAX_MODULUS, is_prime
@@ -65,7 +65,7 @@ def _poly_values(p: int, d: int, n_cols: int | None = None) -> np.ndarray:
     yields the same family in the same order.
     """
     if p > MAX_MODULUS:  # keeps the int64 products below p^2 exact
-        raise InvalidModulus(f"p={p} exceeds the supported cap {MAX_MODULUS}")
+        raise InvalidParams(f"p={p} exceeds the supported cap {MAX_MODULUS}")
     most = _MAX_ENTRIES // p  # most columns a p-row table can address
     wanted = most + 1 if n_cols is None else n_cols
     # place values p^e by capped multiplication, up to the first p^e >= wanted
@@ -163,7 +163,7 @@ def golomb_phase(p: int) -> Matrix:
     q = 3 * p * (p - 1) + 1
     m = 2 * q - 1           # = 6p^2 - 6p + 1
     if m * q >= 2**63:      # the phases j g(k) < m q are int64 products
-        raise InvalidModulus(f"p={p}: the phase products reach m q = {m * q} >= 2^63")
+        raise InvalidParams(f"p={p}: the phase products reach m q = {m * q} >= 2^63")
     ruler = build_ruler(p)  # rejects p < 3 and composites
     j = np.arange(m, dtype=np.int64)[:, None]
     g = np.asarray(ruler.marks, dtype=np.int64)[None, :]
@@ -213,7 +213,7 @@ def composed(s: int, n_cols: int, p: int) -> Matrix:
     if n_cols > _MAX_ENTRIES:  # also bounds the loop in _composed_degree
         raise InvalidParams(f"N={n_cols} columns are more than numpy can address")
     if p < 3 or not is_prime(p):
-        raise InvalidModulus(f"p={p} must be a prime >= 3")
+        raise InvalidParams(f"p={p} must be a prime >= 3")
     clamped = n_cols <= p  # ln(N/p) <= 0 would give d <= 0
     d = _composed_degree(p, n_cols)
     left = golomb_phase(p)

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParams, InvalidPointSet, ParseError, RipforgeError, TooLarge, ZeroRow
+from .errors import InvalidParams, ParseError, RipforgeError
 from .matrix_core import Matrix, as_array, read_cmx, reduce_gram_strips, write_cmx
 
 UNIT_TOL = 1e-12
@@ -52,20 +52,20 @@ class WeightedPointSet:
         pts = np.asarray(self.points)
         w = np.asarray(self.weights, dtype=np.float64)
         if pts.ndim != 2 or pts.size == 0:
-            raise InvalidPointSet("points must form a nonempty N x n array")
+            raise InvalidParams("points must form a nonempty N x n array")
         if w.shape != (pts.shape[0],):
-            raise InvalidPointSet("need one weight per point")
+            raise InvalidParams("need one weight per point")
         dtype = np.complex128 if np.iscomplexobj(pts) else np.float64
         pts = np.ascontiguousarray(pts, dtype=dtype)
         if not (np.isfinite(pts).all() and np.isfinite(w).all()):
-            raise InvalidPointSet("points and weights must be finite (no NaN or inf)")
+            raise InvalidParams("points and weights must be finite (no NaN or inf)")
         norms = np.linalg.norm(pts, axis=1)
         if np.max(np.abs(norms - 1.0)) > UNIT_TOL:
-            raise InvalidPointSet("points must lie on the unit sphere (tol 1e-12)")
+            raise InvalidParams("points must lie on the unit sphere (tol 1e-12)")
         if np.any(w < 0.0):
-            raise InvalidPointSet("weights must be nonnegative")
+            raise InvalidParams("weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > UNIT_TOL:
-            raise InvalidPointSet("weights must sum to 1 (tol 1e-12)")
+            raise InvalidParams("weights must sum to 1 (tol 1e-12)")
         pts.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -182,7 +182,7 @@ def tensor_defect_explicit(ps: WeightedPointSet) -> float:
     """
     n = ps.dim
     if n > 64:
-        raise TooLarge(f"explicit moment matrix capped at n <= 64, got n={n}")
+        raise InvalidParams(f"explicit moment matrix capped at n <= 64, got n={n}")
     moment = np.einsum("i,it,iu->tu", ps.weights, ps.points, ps.points.conj())
     dev = moment - np.eye(n) / n
     explicit = float(np.sum((dev * dev.conj()).real))
@@ -204,7 +204,7 @@ def matrix_to_design(A, k: int) -> tuple[WeightedPointSet, float]:
     arr = as_array(A)
     norms = np.linalg.norm(arr, axis=1)
     if np.any(norms == 0.0):
-        raise ZeroRow(f"row {int(np.argmin(norms))} is identically zero")
+        raise InvalidParams(f"row {int(np.argmin(norms))} is identically zero")
     points = arr / norms[:, None]
     powers = norms ** (2 * k)
     total = float(powers.sum())
@@ -224,8 +224,8 @@ def read_design(path) -> WeightedPointSet:
     mat = read_cmx(path)
     try:
         weights = np.asarray(mat.meta.get("weights"), dtype=np.float64)
-        if weights.shape != (mat.rows,):
-            raise ValueError
-    except (TypeError, ValueError):
-        raise ParseError("meta must carry one number per row in 'weights'") from None
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
+        weights = None
+    if weights is None or weights.shape != (mat.rows,):
+        raise ParseError("meta must carry one number per row in 'weights'")
     return WeightedPointSet(mat.data, weights)

@@ -1,32 +1,16 @@
-"""Exception types shared across ripforge modules."""
+"""Exception types shared across ripforge modules.
+
+A class exists only where it carries data that a caller reads.  Every
+refusal of invalid input is an InvalidParams, told apart by its message.
+"""
 
 
 class RipforgeError(Exception):
     """Base class for all ripforge errors."""
 
 
-# -- number theory -----------------------------------------------------------
-
-class InvalidModulus(RipforgeError):
-    """Modulus is not an admissible prime for the construction."""
-
-
-# -- matrices and parameters --------------------------------------------------
-
 class InvalidParams(RipforgeError):
-    """Construction parameters violate the required constraints."""
-
-
-class DimensionMismatch(RipforgeError):
-    """Operand shapes are incompatible."""
-
-
-class TooLarge(RipforgeError):
-    """Exhaustive enumeration would exceed the desk-scale budget."""
-
-
-class NonFiniteEntry(RipforgeError):
-    """A matrix entry is NaN or infinite."""
+    """Input violates a precondition: parameters, shapes, entries or sizes."""
 
 
 class ParseError(RipforgeError):
@@ -39,26 +23,6 @@ class ParseError(RipforgeError):
         self.lineno = lineno
 
 
-# -- analysis -----------------------------------------------------------------
-
-class NotUnimodular(RipforgeError):
-    """An entry deviates from unit modulus beyond tolerance."""
-
-
-class ZeroVector(RipforgeError):
-    """Operation undefined for the zero vector."""
-
-
-# -- certification ------------------------------------------------------------
-
-class ZeroColumn(RipforgeError):
-    """A column is identically zero and cannot be normalized."""
-
-
-class NotSignMatrix(RipforgeError):
-    """Entries are not exactly +-1; sign-matrix certification refused."""
-
-
 class RoundsExhausted(RipforgeError):
     """No draw certified within the round budget; carries the best attempt."""
 
@@ -66,13 +30,3 @@ class RoundsExhausted(RipforgeError):
         super().__init__(message)
         self.rounds = rounds
         self.best = best
-
-
-# -- spherical designs --------------------------------------------------------
-
-class InvalidPointSet(RipforgeError):
-    """Points are not unit vectors or weights are not a distribution."""
-
-
-class ZeroRow(RipforgeError):
-    """A matrix row is identically zero and cannot be projected to the sphere."""

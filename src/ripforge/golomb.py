@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidModulus
+from .errors import InvalidParams
 from .num_theory import is_prime
 
 
@@ -26,7 +26,7 @@ class GolombRuler:
 def build_ruler(p: int) -> GolombRuler:
     """Construct the p-mark quadratic-residue ruler with range q = 3p(p-1)+1."""
     if p < 3 or not is_prime(p):
-        raise InvalidModulus(f"p={p}: ruler construction needs a prime p >= 3")
+        raise InvalidParams(f"p={p}: ruler construction needs a prime p >= 3")
     marks = tuple(2 * p * k + k * k % p for k in range(p))
     return GolombRuler(p=p, marks=marks, q=3 * p * (p - 1) + 1)
 

@@ -25,7 +25,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteEntry, ParseError
+from .errors import InvalidParams, ParseError
 
 CMX_MAGIC = "#cmx 1"
 GRAM_STRIP_BYTES = 8 << 20   # budget of the strip-sized arrays a call allocates once
@@ -46,13 +46,13 @@ class Matrix:
     def __post_init__(self):
         arr = np.asarray(self.data)
         if arr.ndim != 2:
-            raise DimensionMismatch(f"matrix must be 2-d, got shape {arr.shape}")
+            raise InvalidParams(f"matrix must be 2-d, got shape {arr.shape}")
         if arr.size == 0:
-            raise DimensionMismatch("matrix must have at least one row and column")
+            raise InvalidParams("matrix must have at least one row and column")
         dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
         arr = np.ascontiguousarray(arr, dtype=dtype)
         if not np.isfinite(arr).all():
-            raise NonFiniteEntry("matrix entries must be finite (no NaN or inf)")
+            raise InvalidParams("matrix entries must be finite (no NaN or inf)")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -77,7 +77,7 @@ def as_array(A) -> np.ndarray:
 def norm(v, exponent: float = 2) -> float:
     """(sum_i |v_i|^e)^(1/e) with |.| the complex modulus, e >= 1."""
     if exponent < 1:
-        raise ValueError(f"exponent must be >= 1, got {exponent}")
+        raise InvalidParams(f"exponent must be >= 1, got {exponent}")
     v = np.asarray(v)
     return float(np.sum(np.abs(v) ** exponent) ** (1.0 / exponent))
 
@@ -87,7 +87,7 @@ def matvec(A, x) -> np.ndarray:
     arr = as_array(A)
     x = np.asarray(x)
     if x.ndim != 1 or x.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"matrix is {arr.shape}, vector has shape {x.shape}")
+        raise InvalidParams(f"matrix is {arr.shape}, vector has shape {x.shape}")
     return arr @ x
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams
+from .errors import InvalidParams
 from .matrix_core import as_array
 
 
@@ -42,7 +42,7 @@ def iht(A, y, s: int, max_iter: int = 500, tol: float = 1e-10) -> RecoveryResult
     arr = as_array(A)
     y = np.asarray(y)
     if y.ndim != 1 or y.shape[0] != arr.shape[0]:
-        raise DimensionMismatch(f"matrix is {arr.shape}, y has shape {y.shape}")
+        raise InvalidParams(f"matrix is {arr.shape}, y has shape {y.shape}")
     if s < 0 or max_iter < 1:
         raise InvalidParams("need s >= 0 and max_iter >= 1")
     spectral_sq = np.linalg.norm(arr, 2) ** 2

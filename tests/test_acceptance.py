@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from ripforge.analysis import l2_identity, l4_identity
+from ripforge.analysis import l2_identity, l4_identity, quadruple_tensor
 from ripforge.certify import (coherence, condition_b, default_kappa, exact_ric,
                               las_vegas, probe_l1, theorem1_bound)
 from ripforge.constructors import (alltop, composed, devore, golomb_phase,
@@ -111,7 +111,7 @@ def test_criterion_5_norm_identity_oracle():
             B = np.exp(2j * np.pi * rng.random((q, r)))
             x = rng.standard_normal(r) + 1j * rng.standard_normal(r)
             assert l2_identity(B, x).abs_gap <= 1e-8
-            rep = l4_identity(B, x)
+            rep = l4_identity(B, x, quadruple_tensor(B))
             assert rep.abs_gap <= 1e-8 and rep.abs_gap_split <= 1e-8
         assert time.perf_counter() - start < 10.0
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ripforge.analysis import (embedding_ratios, holder_floor, l2_identity, l4_identity,
-                               pair_sums, quadruple_tensor, square_pair_sums)
+                               quadruple_tensor)
 from ripforge.constructors import golomb_phase
-from ripforge.errors import DimensionMismatch, NotUnimodular, TooLarge, ZeroVector
+from ripforge.errors import InvalidParams
 from ripforge.matrix_core import norm
 
 
@@ -46,7 +46,7 @@ def test_l2_identity_scalar_case():
 
 
 def test_l4_identity_scalar_case():
-    rep = l4_identity(np.ones((1, 1)), np.array([2.0 - 1.0j]))
+    rep = l4_identity(np.ones((1, 1)), np.array([2.0 - 1.0j]), quadruple_tensor(np.ones((1, 1))))
     assert rep.sigma1 == 0j and rep.sigma2 == 0j
     assert rep.direct_value == pytest.approx(25.0)
     assert rep.formula_value == pytest.approx(2 * 25.0 - 25.0)
@@ -56,19 +56,21 @@ def test_l4_identity_scalar_case():
 def test_identities_on_golomb_phase_matrix():
     mat = golomb_phase(3)
     rng = np.random.default_rng(0)
+    tensor = quadruple_tensor(mat)
     for _ in range(25):
         x = random_x(rng, 3)
         assert l2_identity(mat, x).abs_gap <= 1e-9
-        rep = l4_identity(mat, x)
+        rep = l4_identity(mat, x, tensor)
         assert rep.abs_gap <= 1e-8 and rep.abs_gap_split <= 1e-8
 
 
 def test_identities_on_random_unimodular():
     rng = np.random.default_rng(1)
     B = random_unimodular(rng, 6, 5)
+    tensor = quadruple_tensor(B)
     for _ in range(100):
         x = random_x(rng, 5)
-        rep = l4_identity(B, x)
+        rep = l4_identity(B, x, tensor)
         assert rep.abs_gap <= 1e-9 and rep.abs_gap_split <= 1e-9
         assert l2_identity(B, x).abs_gap <= 1e-9
 
@@ -76,9 +78,10 @@ def test_identities_on_random_unimodular():
 def test_identity_gaps_at_contract_scale():
     rng = np.random.default_rng(2)
     B = random_unimodular(rng, 200, 16)
+    tensor = quadruple_tensor(B)
     for _ in range(5):
         x = random_x(rng, 16)
-        rep = l4_identity(B, x)
+        rep = l4_identity(B, x, tensor)
         assert rep.abs_gap <= 1e-8 and rep.abs_gap_split <= 1e-8
         assert l2_identity(B, x).abs_gap <= 1e-8
 
@@ -88,7 +91,7 @@ def test_quadruple_sums_match_loop_oracle(grid_quadruple_sums):
     B = random_unimodular(rng, 4, 4)
     x = random_x(rng, 4)
     s1_oracle, s2_oracle = quadruple_sums_loop_oracle(B, x)
-    rep = l4_identity(B, x)
+    rep = l4_identity(B, x, quadruple_tensor(B))
     for s1, s2 in (grid_quadruple_sums(B, x), (rep.sigma1, rep.sigma2)):
         assert abs(s1 - s1_oracle) <= 1e-10
         assert abs(s2 - s2_oracle) <= 1e-10
@@ -109,8 +112,6 @@ def test_hoisted_tensor_agrees_with_oracle(grid_quadruple_sums):
             x = random_x(rng, B.shape[1])
             s1, s2 = grid_quadruple_sums(B, x)
             hoisted = l4_identity(B, x, tensor)
-            assert l4_identity(B, x, tensor, square_pair_sums(B)) == hoisted
-            assert l2_identity(B, x, pair_sums(B)) == l2_identity(B, x)
             scale = 1e-12 * hoisted.direct_value
             assert abs(hoisted.sigma1 - s1) <= scale
             assert abs(hoisted.sigma2 - s2) <= scale
@@ -118,26 +119,23 @@ def test_hoisted_tensor_agrees_with_oracle(grid_quadruple_sums):
 
 
 def test_identity_preconditions():
-    with pytest.raises(NotUnimodular):
+    unimodular = "entry modulus deviates from 1 by 5.000e-01"
+    with pytest.raises(InvalidParams, match="entry modulus deviates from 1 by 1.000e"):
         l2_identity(np.array([[1.0, 0.0]]), np.ones(2))
-    with pytest.raises(NotUnimodular):
-        l4_identity(np.array([[0.5]]), np.ones(1))
+    with pytest.raises(InvalidParams, match=unimodular):  # a tensor of the right width
+        l4_identity(np.array([[0.5]]), np.ones(1), np.zeros((1, 1)))
     rng = np.random.default_rng(4)
-    with pytest.raises(TooLarge, match="quadruple enumeration is quartic; r=33 > 32"):
-        l4_identity(random_unimodular(rng, 2, 33), np.ones(33))
-    with pytest.raises(TooLarge, match="quadruple enumeration is quartic; r=33 > 32"):
+    wide = random_unimodular(rng, 2, 33)
+    with pytest.raises(InvalidParams, match="quadruple enumeration is quartic; r=33 > 32"):
+        l4_identity(wide, np.ones(33), quadruple_tensor(wide))
+    with pytest.raises(InvalidParams, match="quadruple enumeration is quartic; r=33 > 32"):
         quadruple_tensor(random_unimodular(rng, 2, 33))
-    for build in (quadruple_tensor, pair_sums, square_pair_sums):
-        with pytest.raises(NotUnimodular):
-            build(np.array([[0.5]]))
-    with pytest.raises(DimensionMismatch):  # a tensor built for another width
+    with pytest.raises(InvalidParams, match=unimodular):
+        quadruple_tensor(np.array([[0.5]]))
+    with pytest.raises(InvalidParams, match=r"tensor has shape \(4, 4\), x needs \(9, 9\)"):
         l4_identity(np.ones((2, 3)), np.ones(3), quadruple_tensor(np.ones((2, 2))))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidParams, match=r"matrix has 2 columns, x has shape \(3,\)"):
         l2_identity(np.ones((2, 2)), np.ones(3))
-    with pytest.raises(DimensionMismatch):  # pair sums built for another width
-        l2_identity(np.ones((2, 3)), np.ones(3), pair_sums(np.ones((2, 2))))
-    with pytest.raises(DimensionMismatch):
-        l4_identity(np.ones((2, 3)), np.ones(3), square_pairs=square_pair_sums(np.ones((2, 2))))
 
 
 def test_holder_floor_examples():
@@ -145,7 +143,7 @@ def test_holder_floor_examples():
     assert holder_floor([3.0, 4.0]) == pytest.approx(125 / np.sqrt(337), rel=1e-14)
     assert holder_floor([3.0, 4.0]) <= 7.0
     assert holder_floor([1.0, 0.0, 0.0]) == pytest.approx(1.0)
-    with pytest.raises(ZeroVector):
+    with pytest.raises(InvalidParams, match="the l1 floor is undefined for the zero vector"):
         holder_floor(np.zeros(3))
 
 
@@ -180,7 +178,7 @@ def test_embedding_ratios_on_golomb_phase():
 
 def test_embedding_ratios_errors():
     mat = golomb_phase(3)
-    with pytest.raises(ZeroVector):
+    with pytest.raises(InvalidParams, match="embedding ratios are undefined for x = 0"):
         embedding_ratios(mat, np.zeros(3))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidParams, match=r"matrix is \(37, 3\), vector has shape \(4,\)"):
         embedding_ratios(mat, np.ones(4))

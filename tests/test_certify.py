@@ -12,8 +12,7 @@ from ripforge.certify import (CertReport, ConditionCheck, certify_sign_matrix, c
                               exact_ric, las_vegas, probe_l1, theorem1_bound)
 from ripforge.constructors import (alltop, devore, golomb_phase, golomb_stacked,
                                    rademacher, weil)
-from ripforge.errors import (InvalidParams, NotSignMatrix, RoundsExhausted, TooLarge,
-                             ZeroColumn)
+from ripforge.errors import InvalidParams, RoundsExhausted
 from ripforge.matrix_core import Matrix
 
 
@@ -21,7 +20,7 @@ def test_coherence_examples():
     assert coherence(Matrix(np.eye(4))) == pytest.approx(0.0, abs=1e-14)
     assert coherence(alltop(5)) == pytest.approx(1 / np.sqrt(5), abs=1e-12)
     assert coherence(weil(5, 2)) <= 2 / np.sqrt(5) + 1e-12
-    with pytest.raises(ZeroColumn):
+    with pytest.raises(InvalidParams, match="column 1 is identically zero"):
         coherence(Matrix(np.array([[1.0, 0.0], [0.0, 0.0]])))
 
 
@@ -58,7 +57,7 @@ def test_condition_a_examples():
     column = Matrix(np.resize([1.0, -1.0], (9, 1)))
     assert condition_a(column, kappa=2.0) == ConditionCheck(True, 0, None, 6.0)
 
-    with pytest.raises(NotSignMatrix):
+    with pytest.raises(InvalidParams, match=r"certification requires entries exactly \+-1"):
         condition_a(Matrix(np.array([[0.5, 1.0]])), kappa=1.0)
 
 
@@ -314,13 +313,18 @@ def test_theorem1_bound_values():
     assert bound.alpha == pytest.approx(math.sqrt(0.5**3 / (3 * 1.5)), rel=1e-15)
     assert bound.beta == pytest.approx(math.sqrt(1.5), rel=1e-15)
     assert bound.distortion_bound == pytest.approx(bound.beta / bound.alpha, rel=1e-15)
-    # the distortion bound tends to sqrt(3) as delta -> 0
-    assert theorem1_bound(1.0, 1e-12, 1).distortion_bound == pytest.approx(
+    # the distortion bound tends to sqrt(3) as delta -> 0; kappa keeps m_required below 2^63
+    assert theorem1_bound(1e-3, 1e-12, 1).distortion_bound == pytest.approx(
         math.sqrt(3), rel=1e-9)
     with pytest.raises(InvalidParams, match=r"delta=1.0 must lie in \(0, 1\)"):
         theorem1_bound(1.0, 1.0, 2)
     with pytest.raises(InvalidParams, match=r"delta=0.0 must lie in \(0, 1\)"):
         theorem1_bound(1.0, 0.0, 2)
+    # m_required is exact: 4 * 3^36 needs 60 bits, more than a double holds
+    assert theorem1_bound(1.0, 0.5, 3**9).m_required == 4 * 3**36
+    assert theorem1_bound(1.0, 0.5, 2**15).m_required == 2**62
+    with pytest.raises(InvalidParams, match=r"reaches 2\^63 rows"):
+        theorem1_bound(2.0, 0.5, 2**15)
 
 
 def test_exact_ric_examples():
@@ -332,7 +336,7 @@ def test_exact_ric_examples():
     wl = weil(5, 2)
     assert exact_ric(wl, 2) < 2 * coherence(wl)
 
-    with pytest.raises(TooLarge):
+    with pytest.raises(InvalidParams, match=r"C\(50,5\) = 2118760 subsets exceeds the cap"):
         exact_ric(Matrix(np.ones((2, 50)) - 2 * np.eye(2, 50)), 5)
     with pytest.raises(InvalidParams):
         exact_ric(Matrix(np.eye(3)), 4)
@@ -345,7 +349,7 @@ def test_exact_ric_at_one_builds_no_gram(monkeypatch):
     monkeypatch.setattr(matrix_core, "gram_strips", no_gram)  # behind reduce_gram_strips
     assert exact_ric(weil(5, 2), 1) == 0.0
     assert exact_ric(Matrix(np.ones((1, 1_000_001))), 1) == 0.0  # no subset cap
-    with pytest.raises(ZeroColumn):
+    with pytest.raises(InvalidParams, match="column 1 is identically zero"):
         exact_ric(Matrix(np.array([[1.0, 0.0], [2.0, 0.0]])), 1)
 
 
@@ -421,7 +425,7 @@ def test_exact_ric_cubic_on_orthonormal_columns():
 def test_exact_ric_subset_cap(monkeypatch, subset_ric):
     monkeypatch.setattr(certify, "RIC_SUBSET_CAP", 9)
     rng = np.random.default_rng(9)
-    with pytest.raises(TooLarge, match=r"C\(5,3\) = 10 subsets exceeds the cap 9"):
+    with pytest.raises(InvalidParams, match=r"C\(5,3\) = 10 subsets exceeds the cap 9"):
         exact_ric(Matrix(rng.standard_normal((4, 5))), 3)
     data = rng.standard_normal((4, 4))  # C(4,3) = 4
     assert abs(exact_ric(Matrix(data), 3) - subset_ric(data, 3)) <= 1e-13
@@ -431,7 +435,7 @@ def test_exact_ric_at_two_has_no_subset_cap():
     mat = rademacher(16, 1500, seed=8)  # C(1500,2) = 1 124 250 pairs
     assert math.comb(1500, 2) > 1_000_000
     assert exact_ric(mat, 2) == coherence(mat)
-    with pytest.raises(TooLarge):
+    with pytest.raises(InvalidParams, match=r"C\(1500,3\) = 561375500 subsets exceeds the cap"):
         exact_ric(mat, 3)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import ripforge
 from ripforge.cli import run
-from ripforge.constructors import rademacher
+from ripforge.constructors import rademacher, weil
 from ripforge.matrix_core import Matrix, read_cmx, write_cmx
 
 
@@ -109,6 +109,53 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert run(["construct", "lasvegas", "--m", "64", "--N", "16", "--kappa", kappa,
                     "--seed", "1", "-o", str(tmp_path / "k.cmx")]) == 2
     capsys.readouterr()
+
+
+def test_each_invalid_input_exits_2_with_its_message(tmp_path, capsys):
+    zero_col = np.array(rademacher(16, 8, seed=0).data)
+    zero_col[:, 3] = 0.0
+    zero_row = np.array(rademacher(4, 3, seed=0).data)
+    zero_row[1] = 0.0
+    files = {"zcol": Matrix(zero_col), "zrow": Matrix(zero_row), "w3": weil(3, 1),
+             "w7": weil(7, 2), "half": Matrix(np.full((4, 3), 0.5)),
+             "r33": rademacher(4, 33, seed=0), "s8": rademacher(16, 8, seed=0)}
+    path = {name: str(tmp_path / f"{name}.cmx") for name in files}
+    for name, mat in files.items():
+        write_cmx(mat, path[name])
+    path["nan"] = str(tmp_path / "nan.cmx")
+    Path(path["nan"]).write_text("#cmx 1\nfield real\nrows 2\ncols 2\nmeta {}\n1 nan\n0 1\n")
+    path["off"] = str(tmp_path / "off.cmx")
+    Path(path["off"]).write_text('#cmx 1\nfield real\nrows 2\ncols 2\n'
+                                 'meta {"weights": [0.5, 0.5]}\n1 0\n0 2\n')
+    out = str(tmp_path / "out.cmx")
+    huge_m = "m_required = ceil(kappa^2 s^4 / delta^2) reaches 2^63 rows"
+    table = [
+        (["certify", "coherence", path["zcol"]], "column 3 is identically zero"),
+        (["design", "from-matrix", path["zrow"], "--k", "1", "-o", out],
+         "row 1 is identically zero"),
+        (["certify", "cond", path["w3"]], "certification requires entries exactly +-1"),
+        (["verify", "identities", path["half"], "--seed", "1"],
+         "entry modulus deviates from 1 by 5.000e-01"),
+        (["verify", "identities", path["r33"], "--seed", "1"],
+         "quadruple enumeration is quartic; r=33 > 32"),
+        (["certify", "coherence", path["nan"]], "matrix entries must be finite (no NaN or inf)"),
+        (["design", "defect", path["off"], "--k", "1"],
+         "points must lie on the unit sphere (tol 1e-12)"),
+        (["certify", "ric", path["w7"], "--s", "3"],
+         "C(343,3) = 6666891 subsets exceeds the cap 1000000"),
+        (["construct", "golomb", "--p", "2", "-o", out],
+         "p=2: ruler construction needs a prime p >= 3"),
+        (["certify", "cond", path["s8"], "--delta", "0.5", "--s", str(10**100)], huge_m),
+        (["certify", "cond", path["s8"], "--delta", "1e-200", "--s", "2"], huge_m),
+        (["certify", "cond", path["s8"], "--kappa", "1e300", "--delta", "0.5", "--s", "2"],
+         huge_m),
+    ]
+    capsys.readouterr()
+    for argv, message in table:
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n", argv
+    assert not Path(out).exists()
 
 
 def test_missing_file_exits_2(capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from ripforge.constructors import (alltop, composed, devore, golomb_phase,
                                    golomb_stacked, rademacher, weil)
-from ripforge.errors import InvalidModulus, InvalidParams
+from ripforge.errors import InvalidParams
 from ripforge.golomb import build_ruler
 from ripforge.matrix_core import read_cmx, write_cmx
 
@@ -53,9 +53,9 @@ def test_polynomial_families_refuse_oversized_input(monkeypatch):
 
     monkeypatch.setattr(np, "arange", no_allocation)
     big = 2147483659  # the smallest prime above MAX_MODULUS
-    with pytest.raises(InvalidModulus):
+    with pytest.raises(InvalidParams, match="p=2147483659 exceeds the supported cap 2147483647"):
         weil(big, 1, 1)
-    with pytest.raises(InvalidModulus):
+    with pytest.raises(InvalidParams, match="p=2147483659 exceeds the supported cap 2147483647"):
         devore(big, 1)
     with pytest.raises(InvalidParams):  # 101^10 columns: no index can address them
         weil(101, 9)
@@ -142,14 +142,14 @@ def test_golomb_phase_shape_and_zero_row():
     assert mat.data.shape == (37, 3)
     assert np.array_equal(mat.data[0], np.ones(3, dtype=complex))
     assert golomb_phase(5).data.shape == (121, 5)
-    with pytest.raises(InvalidModulus):
+    with pytest.raises(InvalidParams, match=r"p=2: ruler construction needs a prime p >= 3"):
         golomb_phase(2)
     # m q = (6p^2 - 6p + 1)(3p^2 - 3p + 1) bounds every phase j g(k); it first
     # reaches 2^63 at p = 26756, so int64 phases are refused from there on
     assert (6 * 26755**2 - 6 * 26755 + 1) * (3 * 26755**2 - 3 * 26755 + 1) < 2**63
     for p in (26759, 2147483647):  # the first prime past the bound, and MAX_MODULUS
         for make in (golomb_phase, golomb_stacked, lambda p: composed(1, 10, p=p)):
-            with pytest.raises(InvalidModulus, match="2\\^63"):
+            with pytest.raises(InvalidParams, match="2\\^63"):
                 make(p)
 
 
@@ -263,7 +263,7 @@ def test_composed_degree_is_exact_at_powers_of_p():
 
 
 def test_composed_rejects_composite_p():
-    with pytest.raises(InvalidModulus, match="p=4 must be a prime"):
+    with pytest.raises(InvalidParams, match="p=4 must be a prime"):
         composed(1, 20, p=4)
 
 

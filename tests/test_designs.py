@@ -9,7 +9,7 @@ from ripforge.constructors import alltop, devore, golomb_stacked, rademacher, we
 from ripforge.designs import (EpsilonChain, WeightedPointSet, delta_closed_form,
                               delta_monte_carlo, design_defect, matrix_to_design,
                               read_design, tensor_defect_explicit, write_design)
-from ripforge.errors import InvalidParams, InvalidPointSet, ParseError, ZeroRow
+from ripforge.errors import InvalidParams, ParseError
 from ripforge.matrix_core import Matrix, write_cmx
 
 
@@ -72,15 +72,15 @@ def test_delta_monte_carlo_agrees_with_closed_form(n, k, field):
 def test_point_set_validation():
     good = WeightedPointSet(np.eye(3), np.ones(3) / 3)
     assert good.dim == 3 and good.field_name == "real"
-    with pytest.raises(InvalidPointSet):
-        WeightedPointSet(2 * np.eye(3), np.ones(3) / 3)      # not unit
-    with pytest.raises(InvalidPointSet):
-        WeightedPointSet(np.eye(3), np.array([0.5, 0.5, 0.5]))   # sums to 1.5
-    with pytest.raises(InvalidPointSet):
-        WeightedPointSet(np.eye(2), np.array([1.5, -0.5]))   # negative weight
-    with pytest.raises(InvalidPointSet):
+    with pytest.raises(InvalidParams, match="points must lie on the unit sphere"):
+        WeightedPointSet(2 * np.eye(3), np.ones(3) / 3)
+    with pytest.raises(InvalidParams, match="weights must sum to 1"):
+        WeightedPointSet(np.eye(3), np.array([0.5, 0.5, 0.5]))
+    with pytest.raises(InvalidParams, match="weights must be nonnegative"):
+        WeightedPointSet(np.eye(2), np.array([1.5, -0.5]))
+    with pytest.raises(InvalidParams, match="points and weights must be finite"):
         WeightedPointSet(np.array([[1.0, 0.0], [np.nan, 0.0]]), np.ones(2) / 2)
-    with pytest.raises(InvalidPointSet):
+    with pytest.raises(InvalidParams, match="points and weights must be finite"):
         WeightedPointSet(np.eye(2), np.array([np.nan, 1.0]))
 
 
@@ -173,7 +173,7 @@ def test_matrix_to_design_identity_rows():
     ps, total = matrix_to_design(np.eye(4), 1)
     assert np.allclose(ps.weights, 0.25)
     assert total == pytest.approx(4.0)
-    with pytest.raises(ZeroRow):
+    with pytest.raises(InvalidParams, match="row 1 is identically zero"):
         matrix_to_design(np.array([[1.0, 0.0], [0.0, 0.0]]), 1)
 
 
@@ -212,7 +212,8 @@ def test_design_round_trip(tmp_path):
     assert np.array_equal(back.points, ps.points)
     assert np.array_equal(back.weights, ps.weights)
 
-    for weights in (None, 5, [0.5] * 5, ["a"] * 6, [[1]] * 6, {"a": 1}):  # one number per row
+    # one number per row, each within float range
+    for weights in (None, 5, [0.5] * 5, ["a"] * 6, [[1]] * 6, {"a": 1}, [10**400] * 6):
         write_cmx(Matrix(ps.points, meta={"weights": weights}), path)
         with pytest.raises(ParseError):
             read_design(path)

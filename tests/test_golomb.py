@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ripforge.errors import InvalidModulus
+from ripforge.errors import InvalidParams
 from ripforge.golomb import build_ruler, verify_ruler
 from ripforge.num_theory import is_prime
 
@@ -27,9 +27,9 @@ def test_build_ruler_examples():
 
 
 def test_build_ruler_rejects_bad_moduli():
-    with pytest.raises(InvalidModulus):
+    with pytest.raises(InvalidParams, match=r"p=2: ruler construction needs a prime p >= 3"):
         build_ruler(2)
-    with pytest.raises(InvalidModulus):
+    with pytest.raises(InvalidParams, match=r"p=9: ruler construction needs a prime p >= 3"):
         build_ruler(9)
 
 

@@ -7,7 +7,7 @@ from ripforge import matrix_core
 from ripforge.certify import las_vegas
 from ripforge.constructors import (alltop, composed, devore, golomb_phase, golomb_stacked,
                                    rademacher, weil)
-from ripforge.errors import DimensionMismatch, NonFiniteEntry, ParseError, RipforgeError
+from ripforge.errors import InvalidParams, ParseError, RipforgeError
 from ripforge.matrix_core import (Matrix, gram_strips, matvec, norm, read_cmx, reduce_gram_strips,
                                   write_cmx)
 
@@ -17,7 +17,7 @@ def test_norm_examples():
     assert norm(np.ones(17), 1) == pytest.approx(17.0)
     assert norm([3, 4], 4) == pytest.approx(337.0**0.25, rel=1e-15)
     assert norm([3 + 4j], 2) == pytest.approx(5.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams, match="exponent must be >= 1, got 0.5"):
         norm([1.0], 0.5)
 
 
@@ -37,7 +37,7 @@ def test_matvec_examples():
     col0 = matvec(a2, np.array([1.0, 0.0, 0.0]))
     assert np.array_equal(col0, a2.data[:, 0])
     assert np.allclose(np.abs(col0), 1.0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidParams, match=r"matrix is \(3, 3\), vector has shape \(4,\)"):
         matvec(ident, np.ones(4))
 
 
@@ -53,10 +53,10 @@ def test_matrix_is_immutable_and_2d():
     mat = Matrix(np.eye(2))
     with pytest.raises(ValueError):
         mat.data[0, 0] = 5.0
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidParams, match=r"matrix must be 2-d, got shape \(3,\)"):
         Matrix(np.ones(3))
     for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
-        with pytest.raises(NonFiniteEntry):
+        with pytest.raises(InvalidParams, match="matrix entries must be finite"):
             Matrix(np.array([[1.0, bad]]))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ripforge.certify import las_vegas
-from ripforge.errors import DimensionMismatch
+from ripforge.errors import InvalidParams
 from ripforge.matrix_core import Matrix
 from ripforge.recovery import hard_threshold, iht
 
@@ -31,7 +31,7 @@ def test_iht_trivial_cases():
     res0 = iht(mat, np.zeros(32), 2)
     assert res0.converged and res0.iterations == 1
     assert np.array_equal(res0.estimate, np.zeros(8))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidParams, match=r"matrix is \(32, 8\), y has shape \(5,\)"):
         iht(mat, np.ones(5), 2)
 
 
