@@ -45,6 +45,8 @@ def rademacher(m: int, n_cols: int, seed: int) -> Matrix:
     """m x N matrix of independent +-1 entries, fully determined by seed."""
     if m < 1 or n_cols < 1:
         raise InvalidParams("matrix dimensions must be positive")
+    if m * n_cols > _MAX_ENTRIES:
+        raise InvalidParams(f"a {m} x {n_cols} matrix has more entries than numpy can address")
     rng = np.random.default_rng(seed)
     data = rng.integers(0, 2, size=(m, n_cols)).astype(np.float64) * 2.0 - 1.0
     return Matrix(data, meta={"construction": "rademacher", "m": m, "N": n_cols,

@@ -197,7 +197,8 @@ def matrix_to_design(A, k: int) -> tuple[WeightedPointSet, float]:
     """Rows of A, normalized, weighted by ||a_i||^(2k) / S with S the total.
 
     Returns (point set, S).  An exact l2 -> l2k isometry turns into a
-    zero-defect 2k-design under this map.
+    zero-defect 2k-design under this map.  S must be positive and finite in
+    float64.
     """
     if k < 1:
         raise InvalidParams("need k >= 1")
@@ -206,8 +207,12 @@ def matrix_to_design(A, k: int) -> tuple[WeightedPointSet, float]:
     if np.any(norms == 0.0):
         raise InvalidParams(f"row {int(np.argmin(norms))} is identically zero")
     points = arr / norms[:, None]
-    powers = norms ** (2 * k)
-    total = float(powers.sum())
+    with np.errstate(over="ignore", under="ignore"):
+        powers = norms ** (2 * k)
+        total = float(powers.sum())
+    if not 0.0 < total < math.inf:  # the norms^(2k) underflow to 0 or overflow
+        raise InvalidParams(f"the power sum S = sum_i ||a_i||^(2k) at k={k} is {total}, "
+                            "not a positive finite float64")
     return WeightedPointSet(points, powers / total), total
 
 

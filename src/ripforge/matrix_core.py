@@ -10,16 +10,16 @@ CMX I/O runs in memory bounded apart from the matrix itself, and costs
 about the distinct values of a file: the explicit constructions repeat a
 few roots of unity, chirps and signs.  write_cmx goes out in blocks of rows
 and formats each bit pattern that a memo kept across blocks lacks.
-read_cmx streams the file twice, checking the header and the line and
-entry counts before it allocates the matrix, then parsing one line at a
-time through a cache of the tokens already seen; it never holds the whole
-text.  The memo and the cache hold at most CMX_CACHE_ENTRIES entries each,
-and both step aside on mostly distinct values, such as Gaussian draws.
+read_cmx streams the file once, counting lines and entries and parsing
+each line through a cache of the tokens already seen; it never holds the
+whole text.  The memo and the cache hold at most CMX_CACHE_ENTRIES entries
+each, and both step aside on mostly distinct values, such as Gaussian draws.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -228,31 +228,6 @@ def _parse_header(lines) -> tuple[bool, int, int, dict]:
     return field_name == "complex", rows, cols, meta
 
 
-def _scan(fh) -> tuple[bool, int, int, dict]:
-    """First pass: decode the whole file, check the header, the number of data
-    lines (trailing empty lines ignored) and the entries per data line."""
-    lines = _logical_lines(fh)
-    try:
-        complex_field, rows, cols, meta = _parse_header(list(islice(lines, 5)))
-    except ParseError:
-        for _ in lines:  # a file that is not UTF-8 reports that first
-            pass
-        raise
-    seen = last = 0  # data lines read, and up to the last non-empty one
-    bad = None       # (data line, entries) of the first with a wrong count
-    for line in lines:
-        seen += 1
-        if line:
-            last = seen
-        if bad is None and line.count(" ") != cols - 1:
-            bad = seen, line.count(" ") + 1
-    if last != rows:
-        raise ParseError(f"expected {rows} data lines, found {last}", lineno=5 + last)
-    if bad is not None and bad[0] <= last:
-        raise ParseError(f"expected {cols} entries, found {bad[1]}", lineno=5 + bad[0])
-    return complex_field, rows, cols, meta
-
-
 class _FloatCache(dict):
     """float(token) of each token looked up, parsed on its first lookup.
 
@@ -287,34 +262,54 @@ class _FloatCache(dict):
 def read_cmx(path) -> Matrix:
     """Parse a CMX v1 file back into a Matrix; inverse of write_cmx.
 
-    Two streaming passes over the file: _scan checks the header and the line
-    and entry counts before rows x cols is allocated, then each data line is
-    parsed into its row through a _FloatCache, which calls Python's float
-    about once per distinct token while a cache of at most CMX_CACHE_ENTRIES
-    tokens pays, and on every token after it gives up.
+    One pass counts the data lines and entries and parses each line of cols
+    entries into its row through a _FloatCache.  Errors keep a whole-text
+    reader's order: not UTF-8, header, line count, first wrong entry count,
+    first bad token.  A valid file spends two bytes or more on each entry,
+    so rows x cols is allocated only if the file's size holds them.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            complex_field, rows, cols, meta = _scan(fh)
-            fh.seek(0)
-            out = np.empty((rows, cols), dtype=np.complex128 if complex_field else np.float64)
-            parts = out.view(np.float64)
-            pairs = b": " * (cols - 1) + b":"  # the separators of a complex line
+            lines = _logical_lines(fh)
+            try:
+                complex_field, rows, cols, meta = _parse_header(list(islice(lines, 5)))
+            except ParseError:
+                for _ in lines:  # a file that is not UTF-8 reports that first
+                    pass
+                raise
+            seen = last = 0  # data lines read, and up to the last non-empty one
+            bad = error = pairs = parts = None  # (line, entries) of the first wrong count
+            if 2 * rows * cols <= os.fstat(fh.fileno()).st_size + 1:
+                parts = np.empty((rows, 2 * cols if complex_field else cols))  # float64 parts
             cache = _FloatCache()
-            for i, line in enumerate(islice(_logical_lines(fh), 5, 5 + rows)):
-                try:
-                    if complex_field:
-                        # strict UTF-8 text always encodes; the bytes ' ' and ':' are
-                        # only ever those characters
-                        if line.encode().translate(None, _NOT_SEPARATOR) != pairs:
-                            raise ValueError("complex entries must be re:im pairs "
-                                             "separated by single spaces")
-                        line = line.replace(":", " ")
-                    elif ":" in line:
-                        raise ValueError("complex entry in a real matrix")
-                    parts[i] = cache.parse(line.split(" "))
-                except ValueError as e:
-                    raise ParseError(str(e), lineno=6 + i) from e
+            for line in lines:
+                seen += 1
+                if line:
+                    last = seen
+                if line.count(" ") != cols - 1:
+                    bad = bad or (seen, line.count(" ") + 1)
+                elif bad is None and error is None and seen <= rows:
+                    try:
+                        if complex_field:
+                            # in UTF-8 the bytes ' ' and ':' only ever encode those characters
+                            pairs = pairs or b": " * (cols - 1) + b":"  # no longer than a line
+                            if line.encode().translate(None, _NOT_SEPARATOR) != pairs:
+                                raise ValueError("complex entries must be re:im pairs "
+                                                 "separated by single spaces")
+                            line = line.replace(":", " ")
+                        elif ":" in line:
+                            raise ValueError("complex entry in a real matrix")
+                        values = cache.parse(line.split(" "))
+                        if parts is not None:
+                            parts[seen - 1] = values
+                    except ValueError as e:
+                        error = ParseError(str(e), lineno=5 + seen)
     except UnicodeDecodeError as e:
         raise ParseError(f"not UTF-8 text: {e}") from e
-    return Matrix(out, meta=meta)
+    if last != rows:
+        raise ParseError(f"expected {rows} data lines, found {last}", lineno=5 + last)
+    if bad is not None and bad[0] <= last:
+        raise ParseError(f"expected {cols} entries, found {bad[1]}", lineno=5 + bad[0])
+    if error is not None or parts is None:  # valid entries fit in the size, unless it reads 0
+        raise error or ParseError("file size reads too small for the entries (a pipe's reads 0)")
+    return Matrix(parts.view(np.complex128) if complex_field else parts, meta=meta)

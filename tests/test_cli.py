@@ -9,7 +9,7 @@ import pytest
 
 import ripforge
 from ripforge.cli import run
-from ripforge.constructors import rademacher, weil
+from ripforge.constructors import golomb_stacked, rademacher, weil
 from ripforge.matrix_core import Matrix, read_cmx, write_cmx
 
 
@@ -111,6 +111,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would print before the refusal
 def test_each_invalid_input_exits_2_with_its_message(tmp_path, capsys):
     zero_col = np.array(rademacher(16, 8, seed=0).data)
     zero_col[:, 3] = 0.0
@@ -118,7 +119,8 @@ def test_each_invalid_input_exits_2_with_its_message(tmp_path, capsys):
     zero_row[1] = 0.0
     files = {"zcol": Matrix(zero_col), "zrow": Matrix(zero_row), "w3": weil(3, 1),
              "w7": weil(7, 2), "half": Matrix(np.full((4, 3), 0.5)),
-             "r33": rademacher(4, 33, seed=0), "s8": rademacher(16, 8, seed=0)}
+             "r33": rademacher(4, 33, seed=0), "s8": rademacher(16, 8, seed=0),
+             "gs3": golomb_stacked(3)}
     path = {name: str(tmp_path / f"{name}.cmx") for name in files}
     for name, mat in files.items():
         write_cmx(mat, path[name])
@@ -129,6 +131,9 @@ def test_each_invalid_input_exits_2_with_its_message(tmp_path, capsys):
                                  'meta {"weights": [0.5, 0.5]}\n1 0\n0 2\n')
     out = str(tmp_path / "out.cmx")
     huge_m = "m_required = ceil(kappa^2 s^4 / delta^2) reaches 2^63 rows"
+    huge_mn = ["--m", "100000000000", "--N", "100000000000", "--seed", "1", "-o", out]
+    unaddressable = "a 100000000000 x 100000000000 matrix has more entries than numpy can address"
+    power_sum = "the power sum S = sum_i ||a_i||^(2k) at k={} is {}, not a positive finite float64"
     table = [
         (["certify", "coherence", path["zcol"]], "column 3 is identically zero"),
         (["design", "from-matrix", path["zrow"], "--k", "1", "-o", out],
@@ -149,6 +154,13 @@ def test_each_invalid_input_exits_2_with_its_message(tmp_path, capsys):
         (["certify", "cond", path["s8"], "--delta", "1e-200", "--s", "2"], huge_m),
         (["certify", "cond", path["s8"], "--kappa", "1e300", "--delta", "0.5", "--s", "2"],
          huge_m),
+        (["construct", "rademacher", *huge_mn], unaddressable),
+        (["construct", "lasvegas", *huge_mn], unaddressable),
+        # every ||a_i|| < 1, so each power underflows and S is 0; each ||a_i|| = sqrt(3): inf
+        (["design", "from-matrix", path["gs3"], "--k", "100000", "-o", out],
+         power_sum.format(100000, 0.0)),
+        (["design", "from-matrix", path["w3"], "--k", "100000", "-o", out],
+         power_sum.format(100000, "inf")),
     ]
     capsys.readouterr()
     for argv, message in table:

@@ -1,9 +1,14 @@
+import os
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ripforge import matrix_core
+from ripforge.cli import run
 from ripforge.certify import las_vegas
 from ripforge.constructors import (alltop, composed, devore, golomb_phase, golomb_stacked,
                                    rademacher, weil)
@@ -232,6 +237,7 @@ def _near_valid_cmx(draw):
 
 _DATA_1x1 = b"#cmx 1\nfield real\nrows 1\ncols 1\nmeta {}\n"
 _DATA_1x2 = b"#cmx 1\nfield real\nrows 1\ncols 2\nmeta {}\n"
+_HUGE_HEADER = b"#cmx 1\nfield complex\nrows 1099511627776\ncols 1099511627776\nmeta {}\n"
 
 
 @_ONE_FIXTURE_STATE
@@ -244,11 +250,41 @@ _DATA_1x2 = b"#cmx 1\nfield real\nrows 1\ncols 2\nmeta {}\n"
 @example(_DATA_1x2.replace(b"\n", b"\r") + b"1 2\r")                # lone CR
 @example(_DATA_1x2 + b"-0 5e-324")                                  # no final newline
 @example(b"#notcmx\n" + b"1\n" * 9000 + b"\xff\n")                    # not UTF-8 wins
+@example(b"#cmx 1\nfield real\nrows 3\ncols 1\nmeta {}\nx\n1\n")      # line count beats token
+@example(b"#cmx 1\nfield real\nrows 2\ncols 2\nmeta {}\nx 1\n1\n")    # entry count beats token
+@example(_HUGE_HEADER + b"1\n")                                       # no rows x cols allocated
+@example(b"#cmx 1\nfield real\nrows 2\ncols 60\nmeta {}\n"
+         + b" ".join([b"1"] * 60) + b"\n" + b" " * 59 + b"\n")        # empty tokens, no allocation
 def test_read_cmx_agrees_with_whole_text_referee(tmp_path_factory, cmx_bounds,
                                                  cmx_reader_referee, raw):
     path = tmp_path_factory.mktemp("diff") / "f.cmx"
     path.write_bytes(raw)
     assert _read_outcome(read_cmx, path) == _read_outcome(cmx_reader_referee, path)
+
+
+def test_read_cmx_allocates_the_matrix_only_when_the_file_size_holds_it(tmp_path, monkeypatch,
+                                                                          capsys):
+    path = tmp_path / "huge.cmx"
+    path.write_bytes(_HUGE_HEADER + b"1:1\n")  # 2^40 x 2^40 over one data line
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="expected 1099511627776 data lines") as err:
+            read_cmx(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.lineno == 6 and peak < 1 << 20
+
+    # a pipe streams a valid file but its size reads 0, too small for any entry
+    write_cmx(weil(3, 1), path)
+    stat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(stat(fd)[:6] + (0,) + stat(fd)[7:]))
+    message = "file size reads too small for the entries (a pipe's reads 0)"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        read_cmx(path)
+    assert run(["certify", "coherence", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def _writer_cases():
