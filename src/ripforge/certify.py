@@ -49,7 +49,7 @@ import numpy as np
 from . import matrix_core
 from .constructors import rademacher
 from .errors import InvalidParams, RoundsExhausted
-from .matrix_core import Matrix, as_array, reduce_gram_strips
+from .matrix_core import Matrix, as_array, map_gram_strips
 
 SUBSEED_DERIVATION = "numpy SeedSequence((seed, round)), first uint64 word"
 SAMPLER = 2         # version of _sparse_trials' seed -> sample mapping
@@ -111,29 +111,26 @@ def _max_pair(arr: np.ndarray, norms=None) -> tuple[float, tuple[int, int]]:
     """Largest |<a_j, a_l>| over j != l, divided by |a_j| |a_l| when norms are
     given, and the first pair in row-major order that attains it (so j < l).
 
-    A running max over the Gram strips, each |G| written over its own strip
-    by reduce_gram_strips, so the scan holds one strip and O(N m) besides;
-    the diagonal is masked below any valid value.
+    A running max over map_gram_strips(arr, np.abs), so the scan holds one
+    strip plus one row's temporaries and O(N m); the diagonal is masked
+    below any valid value.
     """
-    def strip_max(i, vals):
+    best, witness = -1.0, None
+    for i, vals in map_gram_strips(arr, np.abs):
         if norms is not None:
             for k, row in enumerate(vals):  # no strip-sized outer product of norms
                 row /= norms[i + k] * norms
         rows = np.arange(len(vals))
         vals[rows, i + rows] = -1.0
         r, c = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        return vals[r, c], (i + int(r), int(c))
-
-    best, witness = -1.0, None
-    for val, pair in reduce_gram_strips(arr, np.abs, strip_max):
-        if val > best:
-            best, witness = float(val), pair
+        if vals[r, c] > best:
+            best, witness = float(vals[r, c]), (i + int(r), int(c))
     return best, witness
 
 
 def coherence(A) -> float:
-    """max_{j != l} |<a_j, a_l>| over unit-normalized columns, from one pass
-    over the Gram strips that holds one strip and O(N m) besides."""
+    """max_{j != l} |<a_j, a_l>| over unit-normalized columns, in one Gram
+    strip pass holding one strip plus one row's temporaries and O(N m)."""
     arr = as_array(A)
     if arr.shape[1] < 2:
         raise InvalidParams("coherence needs at least two columns")

@@ -34,8 +34,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import matrix_core
 from .errors import InvalidParams, ParseError, RipforgeError
-from .matrix_core import Matrix, as_array, read_cmx, reduce_gram_strips, write_cmx
+from .matrix_core import Matrix, as_array, map_gram_strips, read_cmx, write_cmx
 
 UNIT_TOL = 1e-12
 FIELDS = ("real", "complex")
@@ -127,8 +128,9 @@ def delta_monte_carlo(n: int, k: int, field: str, samples: int,
 
     By rotation invariance the average is independent of x, so x is fixed
     to the first basis vector and y is sampled as a normalized standard
-    Gaussian (independent real and imaginary parts in the complex case).
-    Returns (estimate, standard error).
+    Gaussian (independent real and imaginary parts in the complex case), in
+    chunks of at most GRAM_STRIP_BYTES (8 MiB) of complex draws.  Returns
+    (estimate, standard error).
     """
     _check_field(field)
     if n < 1 or k < 1:
@@ -138,7 +140,7 @@ def delta_monte_carlo(n: int, k: int, field: str, samples: int,
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
-    chunk = 200_000
+    chunk = max(1, matrix_core.GRAM_STRIP_BYTES // (16 * n))
     remaining = samples
     while remaining > 0:
         b = min(chunk, remaining)
@@ -158,17 +160,16 @@ def design_defect(ps: WeightedPointSet, k: int) -> float:
     """Gram-sum defect sum_{i,j} tau_i tau_j |<x_i,x_j>|^(2k) - delta_{n,2k}.
 
     Nonnegative up to roundoff (Sidelnikov); zero iff the weighted set is
-    a 2k-design.  Summed strip by strip over the Gram of the N points, each
-    |G|^(2k) written over its own strip by reduce_gram_strips, so the sum
-    holds one strip and O(N n) besides, never an N x N Gram.
+    a 2k-design.  Summed over map_gram_strips of the N points' Gram with
+    |G|^(2k), so the sum holds one strip plus one row's temporaries and
+    O(N n), never an N x N Gram.
     """
     if k < 1:
         raise InvalidParams("need k >= 1")
     w = ps.weights
     gram_sum = 0.0  # added in strip order; sum() compensates from Python 3.12 on
-    for strip_sum in reduce_gram_strips(ps.points.T, lambda g: (g * g.conj()).real ** k,
-                                        lambda i, vals: float(w[i:i + len(vals)] @ vals @ w)):
-        gram_sum += strip_sum
+    for i, vals in map_gram_strips(ps.points.T, lambda g: (g * g.conj()).real ** k):
+        gram_sum += float(w[i:i + len(vals)] @ vals @ w)
     return gram_sum - delta_closed_form(ps.dim, k, ps.field_name)
 
 

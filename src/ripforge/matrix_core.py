@@ -32,7 +32,6 @@ GRAM_STRIP_BYTES = 8 << 20   # budget of the strip-sized arrays a call allocates
 FLOAT32_SIGN_ROWS = 1 << 24  # most rows over which +-1 product sums stay exact in float32
 CMX_BLOCK_PARTS = 1 << 15    # float64 parts write_cmx formats per block of rows
 CMX_CACHE_ENTRIES = 1 << 14  # most tokens read_cmx, or bit patterns write_cmx, keeps at once
-_STRIP_ROW_CHUNK = 128       # strip rows reduce_gram_strips maps through its ufunc at once
 _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b" :")
 
 
@@ -98,7 +97,8 @@ def gram_strips(X):
 
     Every strip is computed into one buffer allocated once per call, so a
     strip is valid only until the next is asked for: a consumer that keeps
-    one longer must copy it, and may overwrite it in place.
+    one longer must copy it, and may overwrite it in place, as
+    map_gram_strips does, holding one strip plus one row's temporaries.
     """
     arr = as_array(X)
     n = arr.shape[1]
@@ -109,23 +109,20 @@ def gram_strips(X):
         yield i, np.matmul(arr[:, i:i + height].conj().T, arr, out=buf[:n - i])
 
 
-def reduce_gram_strips(X, func, reduce):
-    """Yield reduce(i, func(S)) for each strip (i, S) of gram_strips(X),
-    holding one strip and nothing else strip-sized.
+def map_gram_strips(X, func):
+    """Yield (i, func(S)) for each strip (i, S) of gram_strips(X), holding one
+    strip plus one row's temporaries.
 
     func is an elementwise expression with float64 values, such as np.abs.
-    It runs over _STRIP_ROW_CHUNK rows at a time, and each chunk's values go
-    into S's own buffer viewed as float64 from its start.  For a complex S,
-    float row r overlaps only complex rows below r/2 + 1, which the forward
-    pass has already read.  reduce gets that float64 view, may change it in
-    place, and must keep no reference to it: the next strip's product
-    overwrites it.
+    It maps one row at a time into S's own buffer viewed as float64: float
+    row r lies inside complex row r // 2, which has already been read.  The
+    values, like S, last until the next strip and may be changed in place.
     """
     for i, strip in gram_strips(X):
         vals = strip.reshape(-1).view(np.float64)[:strip.size].reshape(strip.shape)
-        for a in range(0, len(strip), _STRIP_ROW_CHUNK):
-            vals[a:a + _STRIP_ROW_CHUNK] = func(strip[a:a + _STRIP_ROW_CHUNK])
-        yield reduce(i, vals)
+        for row, out in zip(strip, vals):
+            out[:] = func(row)
+        yield i, vals
 
 
 def write_cmx(A: Matrix, path) -> None:

@@ -142,13 +142,11 @@ def _traced_peak(call):
 
 @pytest.mark.parametrize("budget", [1 << 20, 4 << 20])
 def test_gram_consumers_hold_one_strip(monkeypatch, strip_max_pair, budget):
-    # allowed: one strip, the values of one row chunk, and O(N m); a |G| beside
-    # the strip, or a strip kept alive into the next product, is a budget more.
-    # The row chunk is cut well below a strip so it cannot hide a second one.
+    # allowed: one strip, one row's values and temporaries, and O(N m); a |G|
+    # beside the strip, or a strip kept alive into the next product, is a budget more
     m, n = GRAM_ROWS, GRAM_COLS
     monkeypatch.setattr("ripforge.matrix_core.GRAM_STRIP_BYTES", budget)
-    monkeypatch.setattr("ripforge.matrix_core._STRIP_ROW_CHUNK", 16)
-    slack = 2 * matrix_core._STRIP_ROW_CHUNK * n * 16 + 2 * n * m * 16
+    slack = 2 * n * 16 + 2 * n * m * 16
     rng = np.random.default_rng(3)
     real = rng.standard_normal((m, n))
     for arr in (real, real + 1j * rng.standard_normal((m, n))):
@@ -162,6 +160,15 @@ def test_gram_consumers_hold_one_strip(monkeypatch, strip_max_pair, budget):
     assert peak <= budget + slack, peak
     best, pair = strip_max_pair(draw.data)
     assert (check.max_sum, check.witness) == (int(round(best)), pair)
+
+
+def test_coherence_of_the_w13_workload_holds_one_strip(strip_max_pair):
+    # the gram-cert shape at the shipped budget: strips of 238 rows of 2197 columns
+    arr = weil(13, 2).data
+    m, n = arr.shape
+    mu, peak = _traced_peak(lambda: coherence(arr))
+    assert peak <= matrix_core.GRAM_STRIP_BYTES + 2 * n * 16 + 2 * n * m * 16, peak
+    assert mu == strip_max_pair(arr, certify.column_norms(arr))[0]
 
 
 def test_condition_b_vacuous_below_four_columns():
@@ -346,7 +353,7 @@ def test_exact_ric_at_one_builds_no_gram(monkeypatch):
     def no_gram(arr):
         raise AssertionError("delta_1 needs no Gram")
     monkeypatch.setattr(certify, "_hollow_gram", no_gram)
-    monkeypatch.setattr(matrix_core, "gram_strips", no_gram)  # behind reduce_gram_strips
+    monkeypatch.setattr(matrix_core, "gram_strips", no_gram)  # behind map_gram_strips
     assert exact_ric(weil(5, 2), 1) == 0.0
     assert exact_ric(Matrix(np.ones((1, 1_000_001))), 1) == 0.0  # no subset cap
     with pytest.raises(InvalidParams, match="column 1 is identically zero"):

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, note, settings, strategies as st
 
 import ripforge
 from ripforge.cli import run
 from ripforge.constructors import golomb_stacked, rademacher, weil
+from ripforge.designs import matrix_to_design, write_design
 from ripforge.matrix_core import Matrix, read_cmx, write_cmx
 
 
@@ -111,7 +116,6 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.filterwarnings("error")  # a numpy warning would print before the refusal
 def test_each_invalid_input_exits_2_with_its_message(tmp_path, capsys):
     zero_col = np.array(rademacher(16, 8, seed=0).data)
     zero_col[:, 3] = 0.0
@@ -425,3 +429,102 @@ def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "out of memory" in captured.err and "(29791, 29791)" in captured.err
+
+
+# -- the exit contract over drawn argv -------------------------------------------
+# Sizes are small or far beyond memory, never in between: a medium size such as
+# 10^9 rows would really allocate.  Work counts (--trials, --seed, and --k where it
+# loops k times) come from their own short list.  --p for golomb, golomb-stacked,
+# composed and devore leaves out 61, weil always gets --N, and devore --d stops at
+# 2: these families turn small parameters into megabytes (golomb(61) has 21961
+# rows, devore(61, 1) 3721 x 3721 entries, weil(13, 5) 13 x 13^6).
+SMALL = ["0", "-1", "1", "2", "3", "5", "7", "13"]
+HUGE = [str(2**40), str(10**12), str(10**40), "nan", "inf", "abc"]
+SIZE = SMALL + ["61"] + HUGE
+PRIME = SMALL + HUGE
+COUNT = ["0", "-1", "1", "2", "64"]
+REAL = ["0.5", "0", "1", "-1", "1e-200", "1e300", "nan", "inf", "abc"]
+FILE, OUT = object(), object()  # drawn from the contract files and output paths
+
+# subcommand -> leaf -> [(flag, values, always given)]; a flag of None is positional
+GRAMMAR = {
+    "construct": {
+        "golomb": [("--p", PRIME, True)],
+        "golomb-stacked": [("--p", PRIME, True)],
+        "weil": [("--p", SIZE, True), ("--d", SIZE, True), ("--N", SIZE, True)],
+        "alltop": [("--m", SIZE, True)],
+        "devore": [("--p", PRIME, True), ("--d", ["0", "-1", "1", "2"] + HUGE, True)],
+        "rademacher": [("--m", SIZE, True), ("--N", SIZE, True), ("--seed", COUNT, True)],
+        "lasvegas": [("--m", SIZE, True), ("--N", SIZE, True), ("--seed", COUNT, True),
+                     ("--kappa", ["auto"] + REAL, False)],
+        "composed": [("--s", SIZE, True), ("--N", SIZE, True), ("--p", PRIME, True)],
+    },
+    "certify": {
+        "coherence": [(None, FILE, True)],
+        "cond": [(None, FILE, True), ("--kappa", ["auto"] + REAL, False),
+                 ("--delta", REAL, False), ("--s", SIZE, False)],
+        "ric": [(None, FILE, True), ("--s", SIZE, True)],
+    },
+    "probe": {None: [(None, FILE, True), ("--s", SIZE, True), ("--trials", COUNT, True),
+                     ("--seed", COUNT, True)]},
+    "verify": {prop: [(None, FILE, True), ("--seed", COUNT, True), ("--trials", COUNT, False)]
+               for prop in ("identities", "isometry", "embedding")},
+    "design": {
+        "delta": [("--n", SIZE, True), ("--k", COUNT, True),
+                  ("--field", ["real", "complex", "abc"], True)],
+        "defect": [(None, FILE, True), ("--k", COUNT, True)],  # delta loops k times
+        "from-matrix": [(None, FILE, True), ("--k", SIZE + COUNT, True), ("-o", OUT, True)],
+    },
+    "recover": {None: [(None, FILE, True), ("--s", SIZE, True), ("--seed", COUNT, True)]},
+}
+for _leaf in GRAMMAR["construct"].values():
+    _leaf.append(("-o", OUT, True))
+
+
+@pytest.fixture(scope="module")
+def contract_paths(tmp_path_factory):
+    """The files and output paths the contract draws from: a tiny valid CMX,
+    a truncated one, an empty file, a NaN entry, a design file and a missing
+    path; an output path, and one in a missing directory."""
+    root = tmp_path_factory.mktemp("contract")
+    sign = rademacher(7, 5, seed=0)
+    write_cmx(sign, root / "valid.cmx")
+    text = (root / "valid.cmx").read_text()
+    (root / "truncated.cmx").write_text(text[:len(text) * 2 // 3])
+    (root / "empty.cmx").write_text("")
+    (root / "nan.cmx").write_text("#cmx 1\nfield real\nrows 2\ncols 2\nmeta {}\n1 nan\n0 1\n")
+    write_design(matrix_to_design(sign, 1)[0], root / "design.cmx")
+    files = [str(root / name) for name in ("valid.cmx", "truncated.cmx", "empty.cmx",
+                                           "nan.cmx", "design.cmx", "missing.cmx")]
+    return files, [str(root / "out.cmx"), str(root / "absent" / "out.cmx")]
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} in a JSON report")
+
+
+@pytest.mark.parametrize("command", sorted(GRAMMAR))
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_cli_exit_contract(contract_paths, command, data):
+    files, outputs = contract_paths
+    leaf = data.draw(st.sampled_from(sorted(GRAMMAR[command], key=str)), label="leaf")
+    argv = [command] + ([leaf] if leaf else [])
+    for flag, values, always in GRAMMAR[command][leaf]:
+        if always or data.draw(st.booleans()):
+            values = files if values is FILE else outputs if values is OUT else values
+            argv += ([flag] if flag else []) + [data.draw(st.sampled_from(values))]
+    note(f"argv: {argv}")
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err and "Warning" not in out + err
+    if code == 2:
+        assert out == ""
+        assert re.fullmatch(r"error: [^\n]*\n|usage: ripforge .*\nripforge [^\n]*: error: [^\n]*\n",
+                            err, re.S), err
+    else:
+        assert code in (0, 1)
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert isinstance(json.loads(out, parse_constant=_no_constant), dict)

@@ -15,6 +15,7 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     src = str(Path(ripforge.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error"  # a demo that warns fails, as a test that warns does
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -69,6 +69,22 @@ def test_delta_monte_carlo_agrees_with_closed_form(n, k, field):
         assert abs(estimate - target) <= 3 * stderr
 
 
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_delta_monte_carlo_draws_under_the_strip_budget():
+    # one chunk's complex draw is at most a budget; its real and imaginary
+    # parts and their sum stay under two and a half
+    _, peak = _traced_peak(lambda: delta_monte_carlo(256, 1, "complex", samples=5000, seed=0))
+    assert peak <= 2.5 * matrix_core.GRAM_STRIP_BYTES, peak
+
+
 def test_point_set_validation():
     good = WeightedPointSet(np.eye(3), np.ones(3) / 3)
     assert good.dim == 3 and good.field_name == "real"
@@ -140,25 +156,27 @@ def test_design_defect_matches_strip_referee_bit_for_bit(strip_budget, strip_def
 
 @pytest.mark.parametrize("budget", [1 << 20, 4 << 20])
 def test_design_defect_holds_one_strip(monkeypatch, strip_defect, budget):
-    # allowed: one strip, a row chunk's |g|^(2k) with its complex temporaries,
-    # and O(N n); the strip's conjugate, product or power beside it is a budget
-    # more.  The row chunk is cut well below a strip so it cannot hide a second one.
+    # allowed: one strip, one row's |g|^(2k) with its complex temporaries, and
+    # O(N n); the strip's conjugate, product or power beside it is a budget more
     n_points, dim = 1001, 5
     monkeypatch.setattr("ripforge.matrix_core.GRAM_STRIP_BYTES", budget)
-    monkeypatch.setattr("ripforge.matrix_core._STRIP_ROW_CHUNK", 16)
-    slack = 2 * matrix_core._STRIP_ROW_CHUNK * n_points * 16 + 2 * n_points * dim * 16
+    slack = 2 * n_points * 16 + 2 * n_points * dim * 16
     rng = np.random.default_rng(4)
     for complex_field in (False, True):
         ps = random_point_set(rng, n_points, dim, complex_field)
         for k in (1, 2):
-            tracemalloc.start()
-            try:
-                defect = design_defect(ps, k)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            defect, peak = _traced_peak(lambda: design_defect(ps, k))
             assert peak <= budget + slack, (complex_field, k, peak)
             assert defect == strip_defect(ps, k)
+
+
+def test_design_defect_of_the_ps23_workload_holds_one_strip(strip_defect):
+    # the gram-cert shape at the shipped budget: strips of 171 rows of 3060 points
+    ps = matrix_to_design(golomb_stacked(23), 2)[0]
+    n_points, dim = ps.points.shape
+    defect, peak = _traced_peak(lambda: design_defect(ps, 2))
+    assert peak <= matrix_core.GRAM_STRIP_BYTES + 2 * n_points * 16 + 2 * n_points * dim * 16, peak
+    assert defect == strip_defect(ps, 2)
 
 
 def test_tensor_defect_explicit_agrees_with_gram_sum():

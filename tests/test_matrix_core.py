@@ -13,7 +13,7 @@ from ripforge.certify import las_vegas
 from ripforge.constructors import (alltop, composed, devore, golomb_phase, golomb_stacked,
                                    rademacher, weil)
 from ripforge.errors import InvalidParams, ParseError, RipforgeError
-from ripforge.matrix_core import (Matrix, gram_strips, matvec, norm, read_cmx, reduce_gram_strips,
+from ripforge.matrix_core import (Matrix, gram_strips, map_gram_strips, matvec, norm, read_cmx,
                                   write_cmx)
 
 
@@ -424,16 +424,16 @@ def test_gram_strips_tile_the_gram(monkeypatch):
             assert np.abs(gram - arr.conj().T @ arr).max() <= 1e-12
 
 
-def test_reduce_gram_strips_maps_each_entry_as_a_whole_strip_would(strip_budget):
-    # row chunks of a strip, written over it as float64, give every entry the
-    # bits of the expression on the whole strip; a 301-row strip ends in a ragged chunk
+def test_map_gram_strips_maps_each_entry_as_a_whole_strip_would(strip_budget):
+    # the rows of a strip, each written over it as float64, give every entry the
+    # bits of the expression on the whole strip
     rng = np.random.default_rng(2)
     exprs = [np.abs] + [lambda g, k=k: (g * g.conj()).real ** k for k in (1, 2, 3)]
     for m, n in ((7, 37), (5, 301), (3, 1)):
         real = rng.standard_normal((m, n))
         for arr in (real, real + 1j * rng.standard_normal((m, n))):
             for func in exprs:
-                got = list(reduce_gram_strips(arr, func, lambda i, vals: (i, vals.copy())))
+                got = [(i, vals.copy()) for i, vals in map_gram_strips(arr, func)]
                 want = [(i, func(strip)) for i, strip in gram_strips(arr)]
                 assert [i for i, _ in got] == [i for i, _ in want]
                 for (_, a), (_, b) in zip(got, want):
