@@ -11,6 +11,7 @@ output for identical seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -59,31 +60,17 @@ def _kappa_value(text: str, n_cols: int) -> float:
 
 # -- construct ----------------------------------------------------------------
 
+def _lasvegas(args) -> tuple:
+    kappa = _kappa_value(args.kappa, args.N)
+    mat, rounds = certify.las_vegas(args.m, args.N, kappa=kappa, seed=args.seed)
+    return mat, {"rounds_used": rounds, "kappa": kappa}
+
+
 def _cmd_construct(args) -> tuple[dict, bool]:
-    extra: dict = {}
-    if args.family == "golomb":
-        mat = constructors.golomb_phase(args.p)
-    elif args.family == "golomb-stacked":
-        mat = constructors.golomb_stacked(args.p)
-    elif args.family == "weil":
-        mat = constructors.weil(args.p, args.d, args.N)
-    elif args.family == "alltop":
-        mat = constructors.alltop(args.m)
-    elif args.family == "devore":
-        mat = constructors.devore(args.p, args.d)
-    elif args.family == "rademacher":
-        mat = constructors.rademacher(args.m, args.N, args.seed)
-    elif args.family == "lasvegas":
-        kappa = _kappa_value(args.kappa, args.N)
-        mat, rounds = certify.las_vegas(args.m, args.N, kappa=kappa, seed=args.seed)
-        extra = {"rounds_used": rounds, "kappa": kappa}
-    else:  # composed
-        mat = constructors.composed(args.s, args.N, p=args.p)
+    mat, extra = args.build(args)  # the leaf's builder: (matrix, extra report fields)
     matrix_core.write_cmx(mat, args.output)
-    report = {"construction": mat.meta.get("construction"), "rows": mat.rows,
-              "cols": mat.cols, "field": mat.field_name, "path": args.output}
-    report.update(extra)
-    return report, True
+    return {"construction": mat.meta.get("construction"), "rows": mat.rows, "cols": mat.cols,
+            "field": mat.field_name, "path": args.output, **extra}, True
 
 
 # -- certify ------------------------------------------------------------------
@@ -146,23 +133,20 @@ def _cmd_verify(args) -> tuple[dict, bool]:
         return {**common, "max_gap": max_gap, "max_rel_gap": max_rel_gap, "l4_checked": True,
                 "tolerance": IDENTITY_TOL, "pass": ok}, ok
 
-    if args.property == "isometry":
-        worst = 0.0
-        for x in vectors:
-            nx = matrix_core.norm(x, 2)
-            y = matrix_core.matvec(mat, x)
-            worst = max(worst, abs(matrix_core.norm(y, 4) - nx) / nx)
-        ok = worst <= ISOMETRY_RTOL
-        return {**common, "max_rel_deviation": worst, "tolerance": ISOMETRY_RTOL,
-                "pass": ok}, ok
-
-    # embedding: m/sqrt(2) ||x||_2 <= ||Ax||_1 <= m ||x||_2
-    certify.column_norms(mat)  # a zero column violates the lower bound at x = e_j
-    m = mat.rows
+    # isometry: ||Mx||_4 = ||x||_2; embedding: m/sqrt(2) ||x||_2 <= ||Ax||_1 <= m ||x||_2
+    isometry = args.property == "isometry"
+    if not isometry:
+        certify.column_norms(mat)  # a zero column violates the lower bound at x = e_j
     lo, hi = math.inf, -math.inf
     for x in vectors:
-        r1 = matrix_core.norm(matrix_core.matvec(mat, x), 1) / matrix_core.norm(x, 2)
-        lo, hi = min(lo, r1), max(hi, r1)
+        nx = matrix_core.norm(x, 2)
+        ny = matrix_core.norm(matrix_core.matvec(mat, x), 4 if isometry else 1)
+        ratio = abs(ny - nx) / nx if isometry else ny / nx
+        lo, hi = min(lo, ratio), max(hi, ratio)
+    if isometry:
+        ok = hi <= ISOMETRY_RTOL
+        return {**common, "max_rel_deviation": hi, "tolerance": ISOMETRY_RTOL, "pass": ok}, ok
+    m = mat.rows
     ok = lo >= m / math.sqrt(2) * (1 - EMBEDDING_SLACK) and hi <= m * (1 + EMBEDDING_SLACK)
     return {**common, "min_ratio": lo, "max_ratio": hi, "lower_bound": m / math.sqrt(2),
             "upper_bound": float(m), "empirical_distortion": hi / lo, "pass": ok}, ok
@@ -206,6 +190,7 @@ def _cmd_recover(args) -> tuple[dict, bool]:
 
 # -- parser -------------------------------------------------------------------
 
+@functools.cache  # one parser per process: parse_args fills a fresh namespace each call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ripforge",
@@ -222,26 +207,32 @@ def build_parser() -> argparse.ArgumentParser:
                         "m x p with m = 6p^2-6p+1, exactly orthogonal columns, and "
                         "two-sided l1 embedding constants m/sqrt(2) and m.")
     c.add_argument("--p", type=int, required=True, help="prime >= 3")
+    c.set_defaults(build=lambda a: (constructors.golomb_phase(a.p), {}))
     c = conf.add_parser("golomb-stacked", description="Stack [(2m)^(-1/4) A; 2^(-1/4) I]: "
                         "an exactly isometric embedding of l2^p into l4^(m+p).")
     c.add_argument("--p", type=int, required=True, help="prime >= 3")
+    c.set_defaults(build=lambda a: (constructors.golomb_stacked(a.p), {}))
     c = conf.add_parser("weil", description="Polynomial phase matrix over F_p; "
                         "coherence at most d/sqrt(p) by the Weil character-sum bound.")
     c.add_argument("--p", type=int, required=True, help="prime")
     c.add_argument("--d", type=int, required=True, help="max polynomial degree, 1 <= d < p")
     c.add_argument("--N", type=int, default=None, help="columns (default: all p^(d+1))")
+    c.set_defaults(build=lambda a: (constructors.weil(a.p, a.d, a.N), {}))
     c = conf.add_parser("alltop", description="Cubic phase vector under all "
                         "translations/modulations; coherence exactly 1/sqrt(m).")
     c.add_argument("--m", type=int, required=True, help="prime >= 5")
+    c.set_defaults(build=lambda a: (constructors.alltop(a.m), {}))
     c = conf.add_parser("devore", description="Binary polynomial-graph matrix with "
                         "entries in {0, 1/sqrt(p)}; coherence at most d/p.")
     c.add_argument("--p", type=int, required=True, help="prime")
     c.add_argument("--d", type=int, required=True, help="max polynomial degree, 1 <= d < p")
+    c.set_defaults(build=lambda a: (constructors.devore(a.p, a.d), {}))
     c = conf.add_parser("rademacher", description="Seeded +-1 matrix; the basic "
                         "randomized draw behind the Las Vegas certification.")
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--N", type=int, required=True)
     c.add_argument("--seed", type=_nonneg_int, required=True)
+    c.set_defaults(build=lambda a: (constructors.rademacher(a.m, a.N, a.seed), {}))
     c = conf.add_parser("lasvegas", description="Redraw Rademacher matrices until one "
                         "certifies the pair/quadruple sum conditions at level kappa; "
                         "the output is always certified, only the round count is random.")
@@ -249,11 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--N", type=int, required=True)
     c.add_argument("--kappa", default="auto", help="'auto' = sqrt(8 ln N), or a number")
     c.add_argument("--seed", type=_nonneg_int, required=True)
+    c.set_defaults(build=_lasvegas)
     c = conf.add_parser("composed", description="Golomb-ruler phase matrix times Weil "
                         "matrix: an explicit l2 -> l1 embedding on s-sparse vectors.")
     c.add_argument("--s", type=int, required=True, help="target sparsity")
     c.add_argument("--N", type=int, required=True, help="ambient dimension (columns)")
     c.add_argument("--p", type=int, required=True, help="prime >= 3")
+    c.set_defaults(build=lambda a: (constructors.composed(a.s, a.N, a.p), {}))
     for p_ in conf.choices.values():
         p_.add_argument("-o", "--output", required=True, help="output CMX path")
     con.set_defaults(handler=_cmd_construct)
@@ -301,22 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
                          "'sampler' names its version, and a seed reproduces its samples "
                          "only within one version.")
     verf = ver.add_subparsers(dest="property", required=True)
-    c = verf.add_parser("identities", description="Check the exact l2/l4 norm expansions "
-                        "for a unimodular matrix of at most 32 columns on random "
-                        "vectors (gap <= 1e-8).")
-    c.add_argument("file")
-    c.add_argument("--seed", type=_nonneg_int, required=True)
-    c.add_argument("--trials", type=_positive_int, default=16)
-    c = verf.add_parser("isometry", description="Check ||Mx||_4 = ||x||_2 on random "
-                        "vectors to relative 1e-10.")
-    c.add_argument("file")
-    c.add_argument("--seed", type=_nonneg_int, required=True)
-    c.add_argument("--trials", type=_positive_int, default=1000)
-    c = verf.add_parser("embedding", description="Check m/sqrt(2) ||x||_2 <= ||Ax||_1 "
-                        "<= m ||x||_2 on random vectors.")
-    c.add_argument("file")
-    c.add_argument("--seed", type=_nonneg_int, required=True)
-    c.add_argument("--trials", type=_positive_int, default=1000)
+    for name, text, trials in (
+            ("identities", "Check the exact l2/l4 norm expansions for a unimodular matrix "
+             "of at most 32 columns on random vectors (gap <= 1e-8).", 16),
+            ("isometry", "Check ||Mx||_4 = ||x||_2 on random vectors to relative 1e-10.", 1000),
+            ("embedding", "Check m/sqrt(2) ||x||_2 <= ||Ax||_1 <= m ||x||_2 on random "
+             "vectors.", 1000)):
+        c = verf.add_parser(name, description=text)
+        c.add_argument("file")
+        c.add_argument("--seed", type=_nonneg_int, required=True)
+        c.add_argument("--trials", type=_positive_int, default=trials)
     ver.set_defaults(handler=_cmd_verify)
 
     des = sub.add_parser("design", help="sphere moments and weighted design defects",
@@ -366,11 +353,8 @@ def run(argv=None) -> int:
         best = exc.best
         report = {"error": str(exc), "rounds": exc.rounds}
         if best is not None:
-            report.update({"max_pair_sum": best.max_pair_sum,
-                           "max_quad_sum": best.max_quad_sum,
-                           "pair_witness": best.pair_witness,
-                           "quad_witness": best.quad_witness,
-                           "threshold": best.threshold})
+            report.update({key: getattr(best, key) for key in (
+                "max_pair_sum", "max_quad_sum", "pair_witness", "quad_witness", "threshold")})
         _emit(report)
         return 1
     except (RipforgeError, OSError) as exc:

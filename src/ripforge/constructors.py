@@ -66,6 +66,12 @@ def _poly_values(p: int, d: int, n_cols: int | None = None) -> np.ndarray:
     digits of j, c_0 least significant: a fixed order, so re-running always
     yields the same family in the same order.
     """
+    if not is_prime(p):
+        raise InvalidParams(f"p={p} must be prime")
+    if not 1 <= d < p:
+        raise InvalidParams(f"need 1 <= d < p, got d={d}, p={p}")
+    if n_cols is not None and n_cols < 1:
+        raise InvalidParams("need at least one column")
     if p > MAX_MODULUS:  # keeps the int64 products below p^2 exact
         raise InvalidParams(f"p={p} exceeds the supported cap {MAX_MODULUS}")
     most = _MAX_ENTRIES // p  # most columns a p-row table can address
@@ -101,13 +107,7 @@ def weil(p: int, d: int, n_cols: int | None = None) -> Matrix:
     default).  Entry (k, f) is exp(i 2 pi k f(k) / p) / sqrt(p); every
     column has unit l2 norm.
     """
-    if not is_prime(p):
-        raise InvalidParams(f"p={p} must be prime")
-    if not 1 <= d < p:
-        raise InvalidParams(f"need 1 <= d < p, got d={d}, p={p}")
-    if n_cols is not None and n_cols < 1:
-        raise InvalidParams("need at least one column")
-    vals = _poly_values(p, d, n_cols)  # raises InvalidParams if N > p^(d+1)
+    vals = _poly_values(p, d, n_cols)  # refuses bad p, d and N
     k = np.arange(p, dtype=np.int64)[:, None]
     phase = (k * vals) % p
     data = _unit_roots(p, phase) / np.sqrt(p)
@@ -140,10 +140,6 @@ def devore(p: int, d: int) -> Matrix:
     holds exactly p nonzeros, one per a, and has unit l2 norm; two columns
     collide in at most d rows, giving coherence <= d/p.
     """
-    if not is_prime(p):
-        raise InvalidParams(f"p={p} must be prime")
-    if not 1 <= d < p:
-        raise InvalidParams(f"need 1 <= d < p, got d={d}, p={p}")
     vals = _poly_values(p, d)                              # (p, p^(d+1))
     n_cols = vals.shape[1]
     data = np.zeros((p * p, n_cols), dtype=np.float64)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, note, settings, strategies as st
 
 import ripforge
+import ripforge.cli
 from ripforge.cli import run
 from ripforge.constructors import golomb_stacked, rademacher, weil
 from ripforge.designs import matrix_to_design, write_design
@@ -274,6 +276,25 @@ def test_verify_commands(tmp_path, capsys):
     assert code == 1 and report["pass"] is False
 
 
+@pytest.mark.parametrize("family, p, prop, trials", [("golomb", 37, "embedding", 200),
+                                                     ("golomb-stacked", 31, "isometry", 1000)])
+def test_verify_takes_one_product_per_vector(tmp_path, capsys, family, p, prop, trials):
+    # the file read and one vector's product fit 2.5 matrices and a MiB; a product
+    # over a block of vectors holds megabytes of the tall complex result besides
+    path = str(tmp_path / "a.cmx")
+    assert run(["construct", family, "--p", str(p), "-o", path]) == 0
+    capsys.readouterr()
+    matrix_bytes = read_cmx(path).data.nbytes
+    tracemalloc.start()
+    try:
+        code = run(["verify", prop, path, "--seed", "1", "--trials", str(trials)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(capsys.readouterr().out)["trials"] == trials
+    assert peak <= 2.5 * matrix_bytes + (1 << 20), (peak, matrix_bytes)
+
+
 def test_certify_ric_within_its_coherence_bound(tmp_path, capsys):
     # golomb columns are exactly orthogonal: mu and delta_s are both roundoff
     path = str(tmp_path / "g.cmx")
@@ -356,6 +377,28 @@ def test_design_pipeline(tmp_path, capsys):
     code, report = run_json(capsys, ["design", "defect", points, "--k", "2"])
     assert code == 0
     assert abs(report["defect"]) <= 1e-10
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "g.cmx")
+    argv = ["construct", "golomb", "--p", "3", "-o", path]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    assert ripforge.cli.build_parser() is ripforge.cli.build_parser()
+
+    # builders look the constructor up when they run, so a later patch (as a
+    # tracer installs) is what the next call reaches
+    real, calls = ripforge.constructors.golomb_phase, []
+    monkeypatch.setattr(ripforge.constructors, "golomb_phase",
+                        lambda p: calls.append(p) or real(p))
+    assert run(["construct", "golomb", "--p", "5", "-o", path]) == 0
+    assert calls == [5]
+
+    # a usage error leaves the shared parser as it was for the next call
+    assert run(["construct", "golomb", "--p", "x", "-o", path]) == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first and calls == [5, 3]
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
