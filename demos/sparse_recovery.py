@@ -29,7 +29,7 @@ for _ in range(trials):
     support = rng.choice(n, size=s, replace=False)
     x0[support] = rng.standard_normal(s)
     for label, matrix in (("certified", mat), ("broken", broken)):
-        res = iht(matrix, matrix.data @ x0, s, max_iter=200, tol=1e-12)
+        res = iht(matrix, matrix.data @ x0, s)
         if np.linalg.norm(res.estimate - x0) <= 1e-6 * np.linalg.norm(x0):
             hits[label] += 1
 
@@ -40,7 +40,7 @@ print()
 print("one certified solve in detail:")
 x0 = np.zeros(n)
 x0[[3, 11]] = (1.0, -2.5)
-res = iht(mat, mat.data @ x0, s, max_iter=200, tol=1e-12)
+res = iht(mat, mat.data @ x0, s)
 print(f"  converged = {res.converged} after {res.iterations} iterations")
 print(f"  support found: {np.flatnonzero(res.estimate).tolist()}  (true: [3, 11])")
 print(f"  residual trace (first 5): "

@@ -55,6 +55,7 @@ SUBSEED_DERIVATION = "numpy SeedSequence((seed, round)), first uint64 word"
 SAMPLER = 2         # version of _sparse_trials' seed -> sample mapping
 SAMPLE_BLOCK = 2048  # most vectors _sparse_trials draws at once
 RIC_SUBSET_CAP = 1_000_000  # most s-subsets exact_ric enumerates at s >= 3
+LAS_VEGAS_ROUNDS = 64       # draws las_vegas makes before RoundsExhausted
 _LEFT_BLOCK_ROWS = 128      # least rows A_a o A_b that quad_blocks multiplies at once
 
 
@@ -100,10 +101,27 @@ class ProbeReport:
 
 
 def column_norms(A) -> np.ndarray:
-    """l2 norms of the columns; raises InvalidParams if a column is identically zero."""
-    norms = np.linalg.norm(as_array(A), axis=0)
-    if np.any(norms == 0.0):
-        raise InvalidParams(f"column {int(np.argmin(norms))} is identically zero")
+    """l2 norms of the columns, each in [2^-485, 2^485], or InvalidParams.
+
+    That range is the domain of the Gram certificates: inside it no norm^2,
+    norm product or Gram entry overflows float64, and no norm^2 or norm
+    product is subnormal.  A column outside it is refused by name, as
+    identically zero or with its norm, recomputed from the column scaled
+    to a largest entry of 1.
+    """
+    arr = as_array(A)
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(arr, axis=0)
+    outside = (norms < 2.0**-485) | (norms > 2.0**485)
+    if outside.any():
+        j = int(np.argmax(outside))
+        scale = np.abs(arr[:, j]).max()
+        if scale == 0.0:
+            raise InvalidParams(f"column {j} is identically zero")
+        with np.errstate(over="ignore"):
+            norm = float(scale * np.linalg.norm(arr[:, j] / scale))
+        raise InvalidParams(f"column {j} has norm {norm!r}, outside the certified "
+                            "range [2^-485, 2^485]")
     return norms
 
 
@@ -275,22 +293,21 @@ def derive_subseed(seed: int, round_idx: int) -> int:
     return int(np.random.SeedSequence((seed, round_idx)).generate_state(1, np.uint64)[0])
 
 
-def las_vegas(m: int, n_cols: int, kappa: float | None = None,
-              max_rounds: int = 64, seed: int = 0) -> tuple[Matrix, int]:
+def las_vegas(m: int, n_cols: int, kappa: float | None = None, *,
+              seed: int) -> tuple[Matrix, int]:
     """Redraw Rademacher matrices until one certifies conditions (a)-(b).
 
     Round t draws with derive_subseed(seed, t), so the output is
     reproducible and independent of any evaluation order.  The returned
     matrix is always certified; RoundsExhausted reports the closest
-    attempt's witnesses if the budget runs out.
+    attempt's witnesses if LAS_VEGAS_ROUNDS draws all fail, which happens
+    with probability at most 3^-64 at the default kappa.
     """
-    if max_rounds < 1:
-        raise InvalidParams("max_rounds must be >= 1")
     if kappa is None:
         kappa = default_kappa(n_cols)
     best_report: CertReport | None = None
     best_score = math.inf
-    for t in range(1, max_rounds + 1):
+    for t in range(1, LAS_VEGAS_ROUNDS + 1):
         sub = derive_subseed(seed, t)
         draw = rademacher(m, n_cols, sub)
         report = certify_sign_matrix(draw, kappa)
@@ -302,8 +319,8 @@ def las_vegas(m: int, n_cols: int, kappa: float | None = None,
         score = max(report.max_pair_sum, report.max_quad_sum)
         if score < best_score:
             best_score, best_report = score, report
-    raise RoundsExhausted(f"no certified draw in {max_rounds} rounds",
-                          rounds=max_rounds, best=best_report)
+    raise RoundsExhausted(f"no certified draw in {LAS_VEGAS_ROUNDS} rounds",
+                          LAS_VEGAS_ROUNDS, best_report)
 
 
 def theorem1_bound(kappa: float, delta: float, s: int) -> Theorem1Bound:

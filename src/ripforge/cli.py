@@ -3,7 +3,7 @@
 Every subcommand prints a single-line JSON report on stdout and
 diagnostics on stderr, and exits with 0 (success / check passed),
 1 (certification or verification failed) or 2 (invalid input, including
-a request too large for memory).  All
+a request too large for memory and a result that float64 cannot hold).  All
 randomized paths take an explicit --seed and reproduce byte-identical
 output for identical seeds.
 """
@@ -42,8 +42,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True, allow_nan=False))
+def _json_line(report: dict) -> str:
+    try:
+        return json.dumps(report, sort_keys=True, allow_nan=False)
+    except ValueError:  # allow_nan=False refuses NaN and inf
+        raise FloatingPointError("the report holds a NaN or inf") from None
 
 
 def _kappa_value(text: str, n_cols: int) -> float:
@@ -166,7 +169,7 @@ def _cmd_design(args) -> tuple[dict, bool]:
                 "delta": designs.delta_closed_form(ps.dim, args.k, ps.field_name)}, True
     # from-matrix
     ps, total = designs.matrix_to_design(matrix_core.read_cmx(args.file), args.k)
-    designs.write_design(ps, args.output, extra_meta={"k": args.k, "source": args.file})
+    designs.write_design(ps, args.output, {"k": args.k, "source": args.file})
     return {"k": args.k, "n_points": ps.n_points, "dim": ps.dim, "S": total,
             "path": args.output}, True
 
@@ -348,22 +351,27 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        report, ok = args.handler(args)
-    except RoundsExhausted as exc:
-        best = exc.best
-        report = {"error": str(exc), "rounds": exc.rounds}
-        if best is not None:
-            report.update({key: getattr(best, key) for key in (
-                "max_pair_sum", "max_quad_sum", "pair_witness", "quad_witness", "threshold")})
-        _emit(report)
-        return 1
+        # a float64 fault in a handler, or a NaN or inf in its report, is invalid input
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            try:
+                report, ok = args.handler(args)
+            except RoundsExhausted as exc:
+                fields = ("max_pair_sum", "max_quad_sum", "pair_witness", "quad_witness",
+                          "threshold")
+                report = {"error": str(exc), "rounds": exc.rounds,
+                          **{key: getattr(exc.best, key) for key in fields}}
+                ok = False
+            line = _json_line(report)
     except (RipforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        print(f"error: float64 cannot hold a result: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # numpy's message names the shape and bytes asked for
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
-    _emit(report)
+    print(line)
     return 0 if ok else 1
 
 

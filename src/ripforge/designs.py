@@ -217,11 +217,10 @@ def matrix_to_design(A, k: int) -> tuple[WeightedPointSet, float]:
     return WeightedPointSet(points, powers / total), total
 
 
-def write_design(ps: WeightedPointSet, path, extra_meta: dict | None = None) -> None:
-    """Serialize a point set as a CMX matrix (rows = points, weights in meta)."""
-    meta = {"kind": "pointset", "weights": [float(w) for w in ps.weights]}
-    if extra_meta:
-        meta.update(extra_meta)
+def write_design(ps: WeightedPointSet, path, meta: dict) -> None:
+    """Serialize a point set as a CMX matrix (rows = points), its weights and
+    the entries of meta in the file's meta."""
+    meta = {"kind": "pointset", "weights": [float(w) for w in ps.weights], **meta}
     write_cmx(Matrix(ps.points, meta=meta), path)
 
 

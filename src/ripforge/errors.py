@@ -26,7 +26,7 @@ class ParseError(RipforgeError):
 class RoundsExhausted(RipforgeError):
     """No draw certified within the round budget; carries the best attempt."""
 
-    def __init__(self, message: str, rounds: int = 0, best=None):
+    def __init__(self, message: str, rounds: int, best):
         super().__init__(message)
         self.rounds = rounds
         self.best = best

@@ -73,7 +73,7 @@ def as_array(A) -> np.ndarray:
     return A.data if isinstance(A, Matrix) else np.asarray(A)
 
 
-def norm(v, exponent: float = 2) -> float:
+def norm(v, exponent: float) -> float:
     """(sum_i |v_i|^e)^(1/e) with |.| the complex modulus, e >= 1."""
     if exponent < 1:
         raise InvalidParams(f"exponent must be >= 1, got {exponent}")
@@ -209,13 +209,15 @@ def _parse_header(lines) -> tuple[bool, int, int, dict]:
     field_name = _parse_header_line(lines, 1, "field")
     if field_name not in ("real", "complex"):
         raise ParseError(f"unknown field {field_name!r}", lineno=2)
-    try:
-        rows = int(_parse_header_line(lines, 2, "rows"))
-        cols = int(_parse_header_line(lines, 3, "cols"))
-    except ValueError as e:
-        raise ParseError(str(e), lineno=3) from e
+    counts = []
+    for idx, key in ((2, "rows"), (3, "cols")):
+        try:
+            counts.append(int(_parse_header_line(lines, idx, key)))
+        except ValueError as e:
+            raise ParseError(str(e), lineno=idx + 1) from e
+    rows, cols = counts
     if rows < 1 or cols < 1:
-        raise ParseError("rows and cols must be positive", lineno=3)
+        raise ParseError("rows and cols must be positive", lineno=3 if rows < 1 else 4)
     try:
         meta = json.loads(_parse_header_line(lines, 4, "meta"))
     except (ValueError, RecursionError) as e:

@@ -16,6 +16,9 @@ import numpy as np
 from .errors import InvalidParams
 from .matrix_core import as_array
 
+IHT_ITERATIONS = 500  # most steps iht takes
+IHT_TOL = 1e-10       # relative residual ||y - Ax|| / ||y|| at which iht stops
+
 
 @dataclass
 class RecoveryResult:
@@ -37,14 +40,15 @@ def hard_threshold(v: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
-def iht(A, y, s: int, max_iter: int = 500, tol: float = 1e-10) -> RecoveryResult:
-    """Recover an s-sparse x from y ~ Ax; stops when ||y - Ax|| <= tol ||y||."""
+def iht(A, y, s: int) -> RecoveryResult:
+    """Recover an s-sparse x from y ~ Ax; stops when ||y - Ax|| <= IHT_TOL ||y||
+    or after IHT_ITERATIONS steps."""
     arr = as_array(A)
     y = np.asarray(y)
     if y.ndim != 1 or y.shape[0] != arr.shape[0]:
         raise InvalidParams(f"matrix is {arr.shape}, y has shape {y.shape}")
-    if s < 0 or max_iter < 1:
-        raise InvalidParams("need s >= 0 and max_iter >= 1")
+    if s < 0:
+        raise InvalidParams(f"need s >= 0, got {s}")
     spectral_sq = np.linalg.norm(arr, 2) ** 2
     if spectral_sq == 0.0:
         raise InvalidParams("zero matrix cannot be inverted")
@@ -54,14 +58,13 @@ def iht(A, y, s: int, max_iter: int = 500, tol: float = 1e-10) -> RecoveryResult
     y_norm = float(np.linalg.norm(y))
     history: list[float] = []
     converged = False
-    iterations = 0
     residual = y - arr @ x
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, IHT_ITERATIONS + 1):
         x = hard_threshold(x + mu * (arr.conj().T @ residual), s)
         residual = y - arr @ x
         res_norm = float(np.linalg.norm(residual))
         history.append(res_norm)
-        if res_norm <= tol * y_norm:
+        if res_norm <= IHT_TOL * y_norm:
             converged = True
             break
     return RecoveryResult(estimate=x, iterations=iterations,

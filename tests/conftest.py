@@ -170,11 +170,16 @@ def _read_cmx_whole_text(path) -> Matrix:
         raise ParseError(f"unknown field {field_name!r}", lineno=2)
     try:
         rows = int(_parse_header_line(lines, 2, "rows"))
-        cols = int(_parse_header_line(lines, 3, "cols"))
     except ValueError as e:
         raise ParseError(str(e), lineno=3) from e
-    if rows < 1 or cols < 1:
+    try:
+        cols = int(_parse_header_line(lines, 3, "cols"))
+    except ValueError as e:
+        raise ParseError(str(e), lineno=4) from e
+    if rows < 1:
         raise ParseError("rows and cols must be positive", lineno=3)
+    if cols < 1:
+        raise ParseError("rows and cols must be positive", lineno=4)
     try:
         meta = json.loads(_parse_header_line(lines, 4, "meta"))
     except (ValueError, RecursionError) as e:

@@ -45,7 +45,7 @@ def certified_1775():
     bound = theorem1_bound(kappa, 0.5, 2)
     assert bound.m_required == 1775
     start = time.perf_counter()
-    mat, rounds = las_vegas(bound.m_required, 32, kappa=kappa, max_rounds=64, seed=2026)
+    mat, rounds = las_vegas(bound.m_required, 32, kappa=kappa, seed=2026)
     elapsed = time.perf_counter() - start
     return mat, bound, elapsed
 
@@ -155,7 +155,7 @@ def test_criterion_8_las_vegas_statistics():
         total_rounds = 0
         failed_rounds = 0
         for seed in range(500):
-            _, rounds = las_vegas(64, 16, kappa=kappa, max_rounds=64, seed=seed)
+            _, rounds = las_vegas(64, 16, kappa=kappa, seed=seed)
             total_rounds += rounds
             failed_rounds += rounds - 1
         failure_rate = failed_rounds / total_rounds
@@ -265,7 +265,7 @@ def test_criterion_12_recovery_demo(certified_1775):
             support = rng.choice(32, size=2, replace=False)
             x0[support] = rng.standard_normal(2)
             for matrix, counter in ((mat, "good"), (broken, "bad")):
-                res = iht(matrix, matrix.data @ x0, 2, max_iter=200, tol=1e-12)
+                res = iht(matrix, matrix.data @ x0, 2)
                 ok = np.linalg.norm(res.estimate - x0) <= 1e-6 * np.linalg.norm(x0)
                 if counter == "good":
                     recovered += ok

@@ -31,6 +31,27 @@ def test_coherence_normalizes_columns():
     assert coherence(Matrix(scaled)) == pytest.approx(coherence(Matrix(base)), rel=1e-12)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: weil(5, 1), lambda: weil(7, 1), lambda: alltop(11), lambda: devore(5, 2),
+    lambda: rademacher(64, 12, 3), lambda: golomb_phase(7), lambda: golomb_stacked(5)],
+    ids=["weil5", "weil7", "alltop11", "devore5", "rademacher", "golomb7", "stacked5"])
+def test_gram_certificates_keep_their_bits_or_refuse_under_scaling(build):
+    # 2^k A has the Gram certificates of A; float64 holds them bit for bit while every
+    # column norm stays in [2^-485, 2^485], and outside it they must be refused
+    arr = build().data
+    values = lambda mat: (coherence(mat), exact_ric(mat, 2), exact_ric(mat, 3))
+    exact = values(Matrix(arr))
+    refused = 0
+    for k in (-600, -520, -500, -400, 400, 500, 520, 600):
+        try:
+            assert values(Matrix(arr * 2.0**k)) == exact, k
+        except InvalidParams as exc:
+            assert "outside the certified range [2^-485, 2^485]" in str(exc)
+            assert abs(k) >= 500, k
+            refused += 1
+    assert refused >= 4
+
+
 def test_default_kappa():
     assert default_kappa(16) == pytest.approx(math.sqrt(8 * math.log(16)), rel=1e-15)
     assert default_kappa(16) == pytest.approx(4.7096, abs=1e-4)
@@ -267,8 +288,8 @@ def test_condition_b_failure_rate_within_union_bound():
 
 
 def test_las_vegas_succeeds_and_is_deterministic():
-    mat1, rounds1 = las_vegas(64, 16, max_rounds=50, seed=1)
-    mat2, rounds2 = las_vegas(64, 16, max_rounds=50, seed=1)
+    mat1, rounds1 = las_vegas(64, 16, seed=1)
+    mat2, rounds2 = las_vegas(64, 16, seed=1)
     assert rounds1 == rounds2
     assert np.array_equal(mat1.data, mat2.data)
     assert mat1.meta["construction"] == "lasvegas"
@@ -279,14 +300,14 @@ def test_las_vegas_succeeds_and_is_deterministic():
 
 
 def test_las_vegas_mean_rounds():
-    rounds = [las_vegas(64, 16, max_rounds=50, seed=t)[1] for t in range(100)]
+    rounds = [las_vegas(64, 16, seed=t)[1] for t in range(100)]
     assert sum(rounds) / len(rounds) <= 1.5
 
 
 def test_las_vegas_retries_after_failed_round():
     # seed 573 is the first master seed whose round-1 draw violates the
     # conditions at these parameters; the driver must move to round 2
-    mat, rounds = las_vegas(64, 16, max_rounds=50, seed=573)
+    mat, rounds = las_vegas(64, 16, seed=573)
     assert rounds == 2
     assert mat.meta["round"] == 2
     assert mat.meta["subseed"] == derive_subseed(573, 2)
@@ -297,18 +318,18 @@ def test_las_vegas_retries_after_failed_round():
 def test_las_vegas_rounds_exhausted():
     # kappa sqrt(m) < 1 cannot dominate a +-1 sum over odd m
     with pytest.raises(RoundsExhausted) as err:
-        las_vegas(1, 16, kappa=0.01, max_rounds=5, seed=0)
-    assert err.value.rounds == 5
+        las_vegas(1, 16, kappa=0.01, seed=0)
+    assert err.value.rounds == certify.LAS_VEGAS_ROUNDS == 64
     assert isinstance(err.value.best, CertReport)
     assert err.value.best.max_pair_sum >= 1
 
 
 def test_las_vegas_best_is_the_report_of_the_best_round():
-    m, n, kappa, seed, rounds = 64, 8, 0.01, 3, 6  # round 2 scores lowest
+    m, n, kappa, seed = 64, 8, 0.01, 3  # round 14 scores lowest; round 19 ties it later
     with pytest.raises(RoundsExhausted) as err:
-        las_vegas(m, n, kappa=kappa, max_rounds=rounds, seed=seed)
+        las_vegas(m, n, kappa=kappa, seed=seed)
     reports = [certify_sign_matrix(rademacher(m, n, derive_subseed(seed, t)), kappa)
-               for t in range(1, rounds + 1)]
+               for t in range(1, certify.LAS_VEGAS_ROUNDS + 1)]
     scores = [max(r.max_pair_sum, r.max_quad_sum) for r in reports]
     assert len(set(scores)) > 1  # the rounds differ, so the choice is tested
     assert err.value.best == reports[scores.index(min(scores))]
@@ -541,7 +562,7 @@ def test_probe_l1_holds_one_product_chunk(monkeypatch, budget):
 
 
 def test_certify_sign_matrix_report():
-    mat, _ = las_vegas(64, 16, max_rounds=50, seed=4)
+    mat, _ = las_vegas(64, 16, seed=4)
     report = certify_sign_matrix(mat)
     assert len(dataclasses.fields(report)) == 9  # the certificate only; no Theorem 1
     assert report.cond_a_pass and report.cond_b_pass

@@ -135,10 +135,17 @@ def test_each_invalid_input_exits_2_with_its_message(tmp_path, capsys):
     path["off"] = str(tmp_path / "off.cmx")
     Path(path["off"]).write_text('#cmx 1\nfield real\nrows 2\ncols 2\n'
                                  'meta {"weights": [0.5, 0.5]}\n1 0\n0 2\n')
+    for name, text in (("one", "rows 3\ncols 1\nmeta {}\n1\n2\n3\n"),
+                       ("cols_abc", "rows 1\ncols abc\nmeta {}\n1\n"),
+                       ("cols_0", "rows 1\ncols 0\nmeta {}\n1\n"),
+                       ("diag", "rows 2\ncols 2\nmeta {}\n1e200 0\n0 1e200\n")):
+        path[name] = str(tmp_path / f"{name}.cmx")
+        Path(path[name]).write_text("#cmx 1\nfield real\n" + text)
     out = str(tmp_path / "out.cmx")
     huge_m = "m_required = ceil(kappa^2 s^4 / delta^2) reaches 2^63 rows"
     huge_mn = ["--m", "100000000000", "--N", "100000000000", "--seed", "1", "-o", out]
     unaddressable = "a 100000000000 x 100000000000 matrix has more entries than numpy can address"
+    outside = "outside the certified range [2^-485, 2^485]"
     power_sum = "the power sum S = sum_i ||a_i||^(2k) at k={} is {}, not a positive finite float64"
     table = [
         (["certify", "coherence", path["zcol"]], "column 3 is identically zero"),
@@ -167,13 +174,60 @@ def test_each_invalid_input_exits_2_with_its_message(tmp_path, capsys):
          power_sum.format(100000, 0.0)),
         (["design", "from-matrix", path["w3"], "--k", "100000", "-o", out],
          power_sum.format(100000, "inf")),
+        (["certify", "coherence", path["one"]], "coherence needs at least two columns"),
+        (["certify", "cond", path["s8"], "--delta", "0.5", "--s", "0"],
+         "need s >= 1 and kappa > 0"),
+        (["construct", "weil", "--p", "5", "--d", "1", "--N", "0", "-o", out],
+         "need at least one column"),
+        (["construct", "weil", "--p", "1009", "--d", "6", "--N", str(10**15), "-o", out],
+         "a 1009 x 1000000000000000 array is larger than numpy can address"),
+        (["certify", "coherence", path["cols_abc"]],
+         "line 4: invalid literal for int() with base 10: 'abc'"),
+        (["certify", "coherence", path["cols_0"]], "line 4: rows and cols must be positive"),
+        # squares of 1e200 overflow: column norms leave the Gram certificates' range,
+        # and ||Mx||_4 leaves float64's
+        (["probe", path["diag"], "--s", "1", "--trials", "5", "--seed", "1"],
+         f"column 0 has norm 1e+200, {outside}"),
+        (["verify", "embedding", path["diag"], "--seed", "1"],
+         f"column 0 has norm 1e+200, {outside}"),
+        (["verify", "isometry", path["diag"], "--seed", "1", "--trials", "3"],
+         "float64 cannot hold a result: overflow encountered in power"),
     ]
+    # [[t, t, 0], [0, t, t]] has mu = 1/sqrt(2) and delta_3 = 1; float64 holds neither
+    # at these scales, so each Gram certificate is refused, not misreported
+    for t in ("1e154", "1e200", "1e-160", "1e-200"):
+        scaled = str(tmp_path / f"t{t}.cmx")
+        Path(scaled).write_text(f"#cmx 1\nfield real\nrows 2\ncols 3\nmeta {{}}\n"
+                                f"{t} {t} 0\n0 {t} {t}\n")
+        for check in (["coherence"], ["ric", "--s", "2"], ["ric", "--s", "3"]):
+            table.append((["certify", check[0], scaled, *check[1:]],
+                          f"column 0 has norm {float(t)!r}, {outside}"))
     capsys.readouterr()
     for argv, message in table:
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n", argv
     assert not Path(out).exists()
+
+
+def test_a_float_fault_or_a_nan_in_a_report_exits_2(tmp_path, capsys, monkeypatch):
+    import ripforge.certify
+
+    diag = tmp_path / "diag.cmx"
+    write_cmx(Matrix(np.diag([1e200, 1e200])), diag)
+    assert run(["recover", str(diag), "--s", "1", "--seed", "1"]) == 2  # squares ||A||_2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch("error: float64 cannot hold a result: overflow encountered in [^\n]*\n",
+                        captured.err), captured.err
+
+    monkeypatch.setattr(ripforge.certify, "coherence", lambda A: float("nan"))
+    path = tmp_path / "r.cmx"
+    write_cmx(rademacher(4, 3, seed=0), path)
+    assert run(["certify", "coherence", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: float64 cannot hold a result: the report holds a NaN or inf\n"
 
 
 def test_missing_file_exits_2(capsys):
@@ -527,8 +581,8 @@ for _leaf in GRAMMAR["construct"].values():
 @pytest.fixture(scope="module")
 def contract_paths(tmp_path_factory):
     """The files and output paths the contract draws from: a tiny valid CMX,
-    a truncated one, an empty file, a NaN entry, a design file and a missing
-    path; an output path, and one in a missing directory."""
+    a truncated one, an empty file, a NaN entry, entries of 1e200, a design
+    file and a missing path; an output path, and one in a missing directory."""
     root = tmp_path_factory.mktemp("contract")
     sign = rademacher(7, 5, seed=0)
     write_cmx(sign, root / "valid.cmx")
@@ -536,9 +590,10 @@ def contract_paths(tmp_path_factory):
     (root / "truncated.cmx").write_text(text[:len(text) * 2 // 3])
     (root / "empty.cmx").write_text("")
     (root / "nan.cmx").write_text("#cmx 1\nfield real\nrows 2\ncols 2\nmeta {}\n1 nan\n0 1\n")
-    write_design(matrix_to_design(sign, 1)[0], root / "design.cmx")
+    write_cmx(Matrix(1e200 * sign.data), root / "huge.cmx")  # finite, but squares overflow
+    write_design(matrix_to_design(sign, 1)[0], root / "design.cmx", {})
     files = [str(root / name) for name in ("valid.cmx", "truncated.cmx", "empty.cmx",
-                                           "nan.cmx", "design.cmx", "missing.cmx")]
+                                           "nan.cmx", "huge.cmx", "design.cmx", "missing.cmx")]
     return files, [str(root / "out.cmx"), str(root / "absent" / "out.cmx")]
 
 

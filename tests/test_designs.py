@@ -69,6 +69,13 @@ def test_delta_monte_carlo_agrees_with_closed_form(n, k, field):
         assert abs(estimate - target) <= 3 * stderr
 
 
+def test_delta_monte_carlo_refusals():
+    with pytest.raises(InvalidParams, match="need n >= 1 and k >= 1"):
+        delta_monte_carlo(0, 1, "real", samples=10, seed=0)
+    with pytest.raises(InvalidParams, match="need at least 2 samples"):
+        delta_monte_carlo(3, 1, "real", samples=1, seed=0)
+
+
 def _traced_peak(call):
     tracemalloc.start()
     try:
@@ -98,6 +105,10 @@ def test_point_set_validation():
         WeightedPointSet(np.array([[1.0, 0.0], [np.nan, 0.0]]), np.ones(2) / 2)
     with pytest.raises(InvalidParams, match="points and weights must be finite"):
         WeightedPointSet(np.eye(2), np.array([np.nan, 1.0]))
+    with pytest.raises(InvalidParams, match="points must form a nonempty N x n array"):
+        WeightedPointSet(np.ones(3), np.ones(3) / 3)
+    with pytest.raises(InvalidParams, match="need one weight per point"):
+        WeightedPointSet(np.eye(3), np.ones(2) / 2)
 
 
 def test_design_defect_single_point():
@@ -185,6 +196,8 @@ def test_tensor_defect_explicit_agrees_with_gram_sum():
     assert tensor_defect_explicit(ps) == pytest.approx(design_defect(ps, 1), abs=1e-12)
     basis = WeightedPointSet(np.eye(4), np.ones(4) / 4)
     assert tensor_defect_explicit(basis) <= 1e-14
+    with pytest.raises(InvalidParams, match="explicit moment matrix capped at n <= 64, got n=65"):
+        tensor_defect_explicit(WeightedPointSet(np.eye(65), np.ones(65) / 65))
 
 
 def test_matrix_to_design_identity_rows():
@@ -225,7 +238,7 @@ def test_design_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     ps = random_point_set(rng, 6, 3, complex_field=True)
     path = tmp_path / "ps.cmx"
-    write_design(ps, path, extra_meta={"k": 2})
+    write_design(ps, path, {"k": 2})
     back = read_design(path)
     assert np.array_equal(back.points, ps.points)
     assert np.array_equal(back.weights, ps.weights)

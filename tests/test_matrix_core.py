@@ -60,6 +60,8 @@ def test_matrix_is_immutable_and_2d():
         mat.data[0, 0] = 5.0
     with pytest.raises(InvalidParams, match=r"matrix must be 2-d, got shape \(3,\)"):
         Matrix(np.ones(3))
+    with pytest.raises(InvalidParams, match="matrix must have at least one row and column"):
+        Matrix(np.ones((0, 3)))
     for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
         with pytest.raises(InvalidParams, match="matrix entries must be finite"):
             Matrix(np.array([[1.0, bad]]))

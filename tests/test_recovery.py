@@ -23,9 +23,9 @@ def test_hard_threshold_keeps_largest_with_low_index_ties():
 
 
 def test_iht_trivial_cases():
-    mat, _ = las_vegas(32, 8, max_rounds=50, seed=0)
+    mat, _ = las_vegas(32, 8, seed=0)
     # s = 0 keeps the zero vector; converged only for y = 0
-    res = iht(mat, np.ones(32), 0, max_iter=5)
+    res = iht(mat, np.ones(32), 0)
     assert np.array_equal(res.estimate, np.zeros(8))
     assert not res.converged
     res0 = iht(mat, np.zeros(32), 2)
@@ -33,28 +33,32 @@ def test_iht_trivial_cases():
     assert np.array_equal(res0.estimate, np.zeros(8))
     with pytest.raises(InvalidParams, match=r"matrix is \(32, 8\), y has shape \(5,\)"):
         iht(mat, np.ones(5), 2)
+    with pytest.raises(InvalidParams, match="need s >= 0, got -1"):
+        iht(mat, np.ones(32), -1)
+    with pytest.raises(InvalidParams, match="zero matrix cannot be inverted"):
+        iht(Matrix(np.zeros((32, 8))), np.ones(32), 2)
 
 
 def test_iht_estimate_is_always_s_sparse():
     rng = np.random.default_rng(3)
     mat = Matrix(rng.standard_normal((20, 30)))
     for s in (1, 3, 7):
-        res = iht(mat, rng.standard_normal(20), s, max_iter=25)
+        res = iht(mat, rng.standard_normal(20), s)
         assert np.count_nonzero(res.estimate) <= s
 
 
 def test_iht_recovers_on_certified_matrix():
-    mat, _ = las_vegas(256, 16, max_rounds=50, seed=1)
+    mat, _ = las_vegas(256, 16, seed=1)
     rng = np.random.default_rng(7)
     for _ in range(20):
         x0 = sparse_signal(rng, 16, 2)
-        res = iht(mat, mat.data @ x0, 2, max_iter=200, tol=1e-12)
+        res = iht(mat, mat.data @ x0, 2)
         assert np.linalg.norm(res.estimate - x0) <= 1e-6 * np.linalg.norm(x0)
         assert res.converged
 
 
 def test_certified_beats_broken_matrix():
-    mat, _ = las_vegas(256, 16, max_rounds=50, seed=2)
+    mat, _ = las_vegas(256, 16, seed=2)
     broken = np.array(mat.data)
     broken[:, 1::2] = broken[:, 0::2]   # duplicate every even column into the next
     rng = np.random.default_rng(11)
