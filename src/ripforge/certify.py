@@ -115,11 +115,9 @@ def column_norms(A) -> np.ndarray:
     outside = (norms < 2.0**-485) | (norms > 2.0**485)
     if outside.any():
         j = int(np.argmax(outside))
-        scale = np.abs(arr[:, j]).max()
-        if scale == 0.0:
+        norm = matrix_core._scaled_norm(arr[:, j])
+        if norm == 0.0:
             raise InvalidParams(f"column {j} is identically zero")
-        with np.errstate(over="ignore"):
-            norm = float(scale * np.linalg.norm(arr[:, j] / scale))
         raise InvalidParams(f"column {j} has norm {norm!r}, outside the certified "
                             "range [2^-485, 2^485]")
     return norms
@@ -129,17 +127,20 @@ def _max_pair(arr: np.ndarray, norms=None) -> tuple[float, tuple[int, int]]:
     """Largest |<a_j, a_l>| over j != l, divided by |a_j| |a_l| when norms are
     given, and the first pair in row-major order that attains it (so j < l).
 
-    A running max over map_gram_strips(arr, np.abs), so the scan holds one
-    strip plus one row's temporaries and O(N m); the diagonal is masked
-    below any valid value.
+    A running max over map_gram_strips, whose row map takes |G_j|, divides
+    it by norms[j] * norms and sets the diagonal entry to -1, below any
+    valid value; so the scan holds one strip plus one row's temporaries and
+    O(N m).
     """
-    best, witness = -1.0, None
-    for i, vals in map_gram_strips(arr, np.abs):
+    def pair_values(j, row):
+        vals = np.abs(row)
         if norms is not None:
-            for k, row in enumerate(vals):  # no strip-sized outer product of norms
-                row /= norms[i + k] * norms
-        rows = np.arange(len(vals))
-        vals[rows, i + rows] = -1.0
+            vals /= norms[j] * norms
+        vals[j] = -1.0
+        return vals
+
+    best, witness = -1.0, None
+    for i, vals in map_gram_strips(arr, pair_values):
         r, c = np.unravel_index(int(np.argmax(vals)), vals.shape)
         if vals[r, c] > best:
             best, witness = float(vals[r, c]), (i + int(r), int(c))

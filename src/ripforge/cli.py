@@ -300,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, text, trials in (
             ("identities", "Check the exact l2/l4 norm expansions for a unimodular matrix "
              "of at most 32 columns on random vectors (gap <= 1e-8).", 16),
-            ("isometry", "Check ||Mx||_4 = ||x||_2 on random vectors to relative 1e-10.", 1000),
+            ("isometry", "Check ||Mx||_4 = ||x||_2 on random vectors to relative 1e-10.  "
+             "|y_i|^4 is formed unscaled, so an entry of Mx above about 1.1e77 "
+             "overflows float64 and exits 2.", 1000),
             ("embedding", "Check m/sqrt(2) ||x||_2 <= ||Ax||_1 <= m ||x||_2 on random "
              "vectors.", 1000)):
         c = verf.add_parser(name, description=text)

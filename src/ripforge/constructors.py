@@ -24,9 +24,16 @@ reduced modulo the relevant modulus n in exact int64 arithmetic
 reach 2^63), then looked up once in the table of n-th roots of unity
 exp(i 2 pi t / n), t in [0, n).  Entries thus carry no avoidable rounding
 error, and equal phases give equal bits.
+
+Before it allocates, each constructor estimates the bytes of the arrays it
+holds at once, per entry as tracemalloc measures its peak, and refuses when
+that exceeds what the process may use (_refuse_beyond_memory).
 """
 
 from __future__ import annotations
+
+import os
+import resource
 
 import numpy as np
 
@@ -41,12 +48,25 @@ TWO_PI = 2.0 * np.pi
 _MAX_ENTRIES = np.iinfo(np.intp).max // 16
 
 
+def _refuse_beyond_memory(nbytes: int) -> None:
+    """InvalidParams, naming the bytes, when nbytes exceeds what this process
+    may use: the RLIMIT_AS soft limit if finite, else the physical memory.
+    This reads limits and sets none."""
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit == resource.RLIM_INFINITY:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > limit:
+        raise InvalidParams(f"the construction would hold about {nbytes} bytes at once, "
+                            f"more than the {limit} bytes this process may use")
+
+
 def rademacher(m: int, n_cols: int, seed: int) -> Matrix:
     """m x N matrix of independent +-1 entries, fully determined by seed."""
     if m < 1 or n_cols < 1:
         raise InvalidParams("matrix dimensions must be positive")
     if m * n_cols > _MAX_ENTRIES:
         raise InvalidParams(f"a {m} x {n_cols} matrix has more entries than numpy can address")
+    _refuse_beyond_memory(18 * m * n_cols)
     rng = np.random.default_rng(seed)
     data = rng.integers(0, 2, size=(m, n_cols)).astype(np.float64) * 2.0 - 1.0
     return Matrix(data, meta={"construction": "rademacher", "m": m, "N": n_cols,
@@ -58,9 +78,10 @@ def _unit_roots(n: int, phase: np.ndarray) -> np.ndarray:
     return np.exp(1j * TWO_PI / n * np.arange(n))[phase]
 
 
-def _poly_values(p: int, d: int, n_cols: int | None = None) -> np.ndarray:
+def _poly_values(p: int, d: int, n_cols: int | None, column_bytes: int) -> np.ndarray:
     """Array vals[k, j] = f_j(k) for the first n_cols degree-<=d polynomials
-    (all p^(d+1) of them when n_cols is None).
+    (all p^(d+1) of them when n_cols is None), once the caller's estimate of
+    column_bytes per column passes _refuse_beyond_memory.
 
     Polynomial j has coefficients (c_0, ..., c_d) given by the base-p
     digits of j, c_0 least significant: a fixed order, so re-running always
@@ -90,6 +111,7 @@ def _poly_values(p: int, d: int, n_cols: int | None = None) -> np.ndarray:
         raise InvalidParams(f"requested {n_cols} > family size p^(d+1) = {place[-1]}")
     if n_cols > most:
         raise InvalidParams(f"a {p} x {n_cols} array is larger than numpy can address")
+    _refuse_beyond_memory(column_bytes * n_cols)
     place = np.array(place[:-1], dtype=np.int64)  # the places below N
     digits = np.arange(n_cols, dtype=np.int64)[None, :] // place[:, None] % p
     k = np.arange(p, dtype=np.int64)[:, None]
@@ -107,7 +129,7 @@ def weil(p: int, d: int, n_cols: int | None = None) -> Matrix:
     default).  Entry (k, f) is exp(i 2 pi k f(k) / p) / sqrt(p); every
     column has unit l2 norm.
     """
-    vals = _poly_values(p, d, n_cols)  # refuses bad p, d and N
+    vals = _poly_values(p, d, n_cols, 34 * p)  # refuses bad p, d and N
     k = np.arange(p, dtype=np.int64)[:, None]
     phase = (k * vals) % p
     data = _unit_roots(p, phase) / np.sqrt(p)
@@ -123,6 +145,9 @@ def alltop(m: int) -> Matrix:
     """
     if m < 5 or not is_prime(m):
         raise InvalidParams(f"m={m}: the cubic phase family needs a prime m >= 5")
+    if m**3 > _MAX_ENTRIES:
+        raise InvalidParams(f"an m^3 = {m**3} entry phase table is more than numpy can address")
+    _refuse_beyond_memory(41 * m**3)
     j = np.arange(m, dtype=np.int64)
     x = np.arange(m, dtype=np.int64)
     y = np.arange(m, dtype=np.int64)
@@ -140,13 +165,23 @@ def devore(p: int, d: int) -> Matrix:
     holds exactly p nonzeros, one per a, and has unit l2 norm; two columns
     collide in at most d rows, giving coherence <= d/p.
     """
-    vals = _poly_values(p, d)                              # (p, p^(d+1))
+    vals = _poly_values(p, d, None, 9 * p * p + 48 * p)    # (p, p^(d+1))
     n_cols = vals.shape[1]
     data = np.zeros((p * p, n_cols), dtype=np.float64)
     cols = np.broadcast_to(np.arange(n_cols), (p, n_cols))
     rows = np.arange(p, dtype=np.int64)[:, None] * p + vals
     data[rows.ravel(), cols.ravel()] = 1.0 / np.sqrt(p)
     return Matrix(data, meta={"construction": "devore", "p": p, "d": d, "N": n_cols})
+
+
+def _golomb_rows(p: int) -> int:
+    """m = 6p^2 - 6p + 1, the rows of golomb_phase(p), refusing any p whose
+    phase products j g(k) < m q, with q = 3p(p-1)+1, could reach 2^63."""
+    q = 3 * p * (p - 1) + 1
+    m = 2 * q - 1
+    if m * q >= 2**63:
+        raise InvalidParams(f"p={p}: the phase products reach m q = {m * q} >= 2^63")
+    return m
 
 
 def golomb_phase(p: int) -> Matrix:
@@ -158,11 +193,9 @@ def golomb_phase(p: int) -> Matrix:
     columns are exactly orthogonal and all fourth-order column products
     over distinct ordered pairs vanish.
     """
-    q = 3 * p * (p - 1) + 1
-    m = 2 * q - 1           # = 6p^2 - 6p + 1
-    if m * q >= 2**63:      # the phases j g(k) < m q are int64 products
-        raise InvalidParams(f"p={p}: the phase products reach m q = {m * q} >= 2^63")
+    m = _golomb_rows(p)
     ruler = build_ruler(p)  # rejects p < 3 and composites
+    _refuse_beyond_memory(26 * m * p)
     j = np.arange(m, dtype=np.int64)[:, None]
     g = np.asarray(ruler.marks, dtype=np.int64)[None, :]
     phase = j * g
@@ -177,6 +210,7 @@ def golomb_stacked(p: int) -> Matrix:
     The resulting (m+p) x p matrix M satisfies ||M x||_4 = ||x||_2 for all
     complex x: an exactly isometric embedding of l2^p into l4^(m+p).
     """
+    _refuse_beyond_memory(50 * (_golomb_rows(p) + p) * p)
     top = golomb_phase(p)
     m = top.rows
     data = np.vstack([
@@ -214,6 +248,8 @@ def composed(s: int, n_cols: int, p: int) -> Matrix:
         raise InvalidParams(f"p={p} must be a prime >= 3")
     clamped = n_cols <= p  # ln(N/p) <= 0 would give d <= 0
     d = _composed_degree(p, n_cols)
+    m = _golomb_rows(p)
+    _refuse_beyond_memory(18 * m * n_cols + 26 * m * p + 34 * p * n_cols)
     left = golomb_phase(p)
     right = weil(p, d, n_cols)  # raises InvalidParams if N > p^(d+1)
     data = left.data @ right.data

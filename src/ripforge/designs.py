@@ -168,7 +168,7 @@ def design_defect(ps: WeightedPointSet, k: int) -> float:
         raise InvalidParams("need k >= 1")
     w = ps.weights
     gram_sum = 0.0  # added in strip order; sum() compensates from Python 3.12 on
-    for i, vals in map_gram_strips(ps.points.T, lambda g: (g * g.conj()).real ** k):
+    for i, vals in map_gram_strips(ps.points.T, lambda j, g: (g * g.conj()).real ** k):
         gram_sum += float(w[i:i + len(vals)] @ vals @ w)
     return gram_sum - delta_closed_form(ps.dim, k, ps.field_name)
 
@@ -199,14 +199,20 @@ def matrix_to_design(A, k: int) -> tuple[WeightedPointSet, float]:
 
     Returns (point set, S).  An exact l2 -> l2k isometry turns into a
     zero-defect 2k-design under this map.  S must be positive and finite in
-    float64.
+    float64.  A zero row is refused, and so is a row whose squares
+    underflow, by its norm computed from the row scaled to a largest entry
+    of 1.
     """
     if k < 1:
         raise InvalidParams("need k >= 1")
     arr = as_array(A)
     norms = np.linalg.norm(arr, axis=1)
-    if np.any(norms == 0.0):
-        raise InvalidParams(f"row {int(np.argmin(norms))} is identically zero")
+    if np.any(norms == 0.0):  # a zero row, or one whose squares underflow
+        i = int(np.argmin(norms))
+        norm = matrix_core._scaled_norm(arr[i])
+        if norm == 0.0:
+            raise InvalidParams(f"row {i} is identically zero")
+        raise InvalidParams(f"row {i} has norm {norm!r}, whose square underflows float64")
     points = arr / norms[:, None]
     with np.errstate(over="ignore", under="ignore"):
         powers = norms ** (2 * k)

@@ -74,11 +74,27 @@ def as_array(A) -> np.ndarray:
 
 
 def norm(v, exponent: float) -> float:
-    """(sum_i |v_i|^e)^(1/e) with |.| the complex modulus, e >= 1."""
+    """(sum_i |v_i|^e)^(1/e) with |.| the complex modulus, e >= 1.
+
+    Each |v_i|^e is formed unscaled, so the domain is |v_i| below about
+    1.8e308^(1/e): an entry above about 1.1e77 overflows at e = 4, and
+    under cli.run that exits 2 however representable the norm itself is.
+    """
     if exponent < 1:
         raise InvalidParams(f"exponent must be >= 1, got {exponent}")
     v = np.asarray(v)
     return float(np.sum(np.abs(v) ** exponent) ** (1.0 / exponent))
+
+
+def _scaled_norm(v) -> float:
+    """l2 norm of v computed from v scaled to a largest |v_i| of 1, so no
+    square under- or overflows: 0.0 only when every entry is 0, inf only
+    when the norm is past float64's range.  For naming a refused norm."""
+    scale = np.abs(v).max()
+    if scale == 0.0:
+        return 0.0
+    with np.errstate(over="ignore"):
+        return float(scale * np.linalg.norm(v / scale))
 
 
 def matvec(A, x) -> np.ndarray:
@@ -90,15 +106,17 @@ def matvec(A, x) -> np.ndarray:
     return arr @ x
 
 
-def gram_strips(X):
-    """Yield (i, X[:, i:j]^H X): the column Gram of X as consecutive full-width
-    row strips, each under GRAM_STRIP_BYTES (8 MiB), so no N x N Gram is
-    ever held.
+def map_gram_strips(X, func):
+    """Yield (i, V) for the column Gram G = X^H X in consecutive full-width
+    row strips G[i:i+h], each under GRAM_STRIP_BYTES (8 MiB), with
+    V[r] = func(i + r, G[i + r]): func gets each row's column index j and
+    the row, and returns its float64 values, such as np.abs(row).
 
-    Every strip is computed into one buffer allocated once per call, so a
-    strip is valid only until the next is asked for: a consumer that keeps
-    one longer must copy it, and may overwrite it in place, as
-    map_gram_strips does, holding one strip plus one row's temporaries.
+    Every strip is computed into one buffer allocated once per call, and
+    func maps it one row at a time into that buffer viewed as float64:
+    float row r lies inside complex row r // 2, which has already been
+    read.  So no N x N Gram is ever held, only one strip plus one row's
+    temporaries.  V lasts until the next strip and may be changed in place.
     """
     arr = as_array(X)
     n = arr.shape[1]
@@ -106,22 +124,10 @@ def gram_strips(X):
     height = min(n, max(1, GRAM_STRIP_BYTES // (n * dtype.itemsize)))
     buf = np.empty((height, n), dtype=dtype)
     for i in range(0, n, height):
-        yield i, np.matmul(arr[:, i:i + height].conj().T, arr, out=buf[:n - i])
-
-
-def map_gram_strips(X, func):
-    """Yield (i, func(S)) for each strip (i, S) of gram_strips(X), holding one
-    strip plus one row's temporaries.
-
-    func is an elementwise expression with float64 values, such as np.abs.
-    It maps one row at a time into S's own buffer viewed as float64: float
-    row r lies inside complex row r // 2, which has already been read.  The
-    values, like S, last until the next strip and may be changed in place.
-    """
-    for i, strip in gram_strips(X):
+        strip = np.matmul(arr[:, i:i + height].conj().T, arr, out=buf[:n - i])
         vals = strip.reshape(-1).view(np.float64)[:strip.size].reshape(strip.shape)
-        for row, out in zip(strip, vals):
-            out[:] = func(row)
+        for j, (row, out) in enumerate(zip(strip, vals), i):
+            out[:] = func(j, row)
         yield i, vals
 
 

@@ -1,12 +1,15 @@
 import itertools
 import json
+import os
+import resource
 
 import numpy as np
 import pytest
 
+from ripforge import constructors, matrix_core
 from ripforge.designs import delta_closed_form
 from ripforge.errors import ParseError
-from ripforge.matrix_core import CMX_MAGIC, Matrix, gram_strips
+from ripforge.matrix_core import CMX_MAGIC, Matrix
 
 
 def _poly_value(p: int, d: int, i: int, k: int) -> int:
@@ -32,12 +35,22 @@ def _dense_max_pair(arr: np.ndarray, unit: bool) -> tuple[float, tuple[int, int]
     return gram[j, l], (int(j), int(l))
 
 
+def _gram_strips(arr: np.ndarray):
+    """(i, X[:, i:i+h]^H X): the column Gram of X in strips of the height h
+    that map_gram_strips takes under GRAM_STRIP_BYTES, each its own product."""
+    n = arr.shape[1]
+    itemsize = np.result_type(arr.dtype, np.float64).itemsize
+    h = min(n, max(1, matrix_core.GRAM_STRIP_BYTES // (n * itemsize)))
+    for i in range(0, n, h):
+        yield i, arr[:, i:i + h].conj().T @ arr
+
+
 def _strip_max_pair(arr: np.ndarray, norms=None) -> tuple[float, tuple[int, int]]:
     """Running max of |<a_j, a_l>| (over norms[j] norms[l] when given) over
-    gram_strips, each |G| a separate array, and the first pair at it: the
+    _gram_strips, each |G| a separate array, and the first pair at it: the
     bits and witness that certify._max_pair must reproduce."""
     best, witness = -1.0, None
-    for i, strip in gram_strips(arr):
+    for i, strip in _gram_strips(arr):
         vals = np.abs(strip)
         if norms is not None:
             for k, row in enumerate(vals):
@@ -51,11 +64,11 @@ def _strip_max_pair(arr: np.ndarray, norms=None) -> tuple[float, tuple[int, int]
 
 
 def _strip_defect(ps, k: int) -> float:
-    """Gram-sum design defect summed over gram_strips, each |G|^(2k) a
+    """Gram-sum design defect summed over _gram_strips, each |G|^(2k) a
     separate array: the bits that designs.design_defect must reproduce."""
     w = ps.weights
     gram_sum = 0.0
-    for i, strip in gram_strips(ps.points.T):
+    for i, strip in _gram_strips(ps.points.T):
         abs2 = (strip * strip.conj()).real
         gram_sum += float(w[i:i + len(abs2)] @ abs2**k @ w)
     return gram_sum - delta_closed_form(ps.dim, k, ps.field_name)
@@ -303,3 +316,26 @@ def strip_budget(request, monkeypatch):
         monkeypatch.setattr("ripforge.matrix_core.GRAM_STRIP_BYTES", 1000)
         monkeypatch.setattr("ripforge.certify._LEFT_BLOCK_ROWS", 8)
     return request.param
+
+
+class _NumpyTripwire:
+    """Stands in for numpy inside ripforge.constructors: a constructor that
+    reaches numpy before its memory guard fails instead of allocating."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached before the memory guard")
+
+
+@pytest.fixture
+def memory_limit(monkeypatch):
+    """Put a tripwire in place of ripforge.constructors' numpy and return
+    set_limit(rlimit_as, phys_bytes), which fakes the RLIMIT_AS soft limit
+    and the physical memory that the constructors' memory guard reads."""
+    monkeypatch.setattr(constructors, "np", _NumpyTripwire())
+
+    def set_limit(rlimit_as, phys_bytes=0):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": phys_bytes // 4096}
+        monkeypatch.setattr(resource, "getrlimit",
+                            lambda which: (rlimit_as, resource.RLIM_INFINITY))
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    return set_limit

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -138,7 +139,10 @@ def test_each_invalid_input_exits_2_with_its_message(tmp_path, capsys):
     for name, text in (("one", "rows 3\ncols 1\nmeta {}\n1\n2\n3\n"),
                        ("cols_abc", "rows 1\ncols abc\nmeta {}\n1\n"),
                        ("cols_0", "rows 1\ncols 0\nmeta {}\n1\n"),
-                       ("diag", "rows 2\ncols 2\nmeta {}\n1e200 0\n0 1e200\n")):
+                       ("diag", "rows 2\ncols 2\nmeta {}\n1e200 0\n0 1e200\n"),
+                       ("diag100", "rows 2\ncols 2\nmeta {}\n1e100 0\n0 1e100\n"),
+                       ("tiny", "rows 2\ncols 3\nmeta {}\n1e-200 1e-200 0\n0 1e-200 1e-200\n"),
+                       ("tiny_zero", "rows 2\ncols 3\nmeta {}\n0 0 0\n0 1e-200 1e-200\n")):
         path[name] = str(tmp_path / f"{name}.cmx")
         Path(path[name]).write_text("#cmx 1\nfield real\n" + text)
     out = str(tmp_path / "out.cmx")
@@ -192,6 +196,15 @@ def test_each_invalid_input_exits_2_with_its_message(tmp_path, capsys):
          f"column 0 has norm 1e+200, {outside}"),
         (["verify", "isometry", path["diag"], "--seed", "1", "--trials", "3"],
          "float64 cannot hold a result: overflow encountered in power"),
+        # ||Mx||_4 ~ 1e100 is a float64, but |y_i|^4 ~ 1e400 is not: l4's documented domain
+        (["verify", "isometry", path["diag100"], "--seed", "1", "--trials", "3"],
+         "float64 cannot hold a result: overflow encountered in power"),
+        # the squares of 1e-200 underflow, so each row's norm reads 0; only a row of
+        # zeros is called zero, and the other is named by its norm
+        (["design", "from-matrix", path["tiny"], "--k", "1", "-o", out],
+         "row 0 has norm 1.414213562373095e-200, whose square underflows float64"),
+        (["design", "from-matrix", path["tiny_zero"], "--k", "1", "-o", out],
+         "row 0 is identically zero"),
     ]
     # [[t, t, 0], [0, t, t]] has mu = 1/sqrt(2) and delta_3 = 1; float64 holds neither
     # at these scales, so each Gram certificate is refused, not misreported
@@ -228,6 +241,24 @@ def test_a_float_fault_or_a_nan_in_a_report_exits_2(tmp_path, capsys, monkeypatc
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: float64 cannot hold a result: the report holds a NaN or inf\n"
+
+
+def test_constructors_refuse_before_allocating(tmp_path, capsys, memory_limit):
+    # numpy inside constructors is a tripwire, so a missing guard fails here instead
+    # of allocating: weil(61, 3) would fill a 61 x 61^4 int64 table (6.29 GiB) first
+    out = str(tmp_path / "out.cmx")
+    memory_limit(3 << 30)
+    assert run(["construct", "weil", "--p", "61", "--d", "3", "-o", out]) == 2
+    captured = capsys.readouterr()
+    asked = re.fullmatch(r"error: the construction would hold about (\d+) bytes at once, "
+                         r"more than the 3221225472 bytes this process may use\n", captured.err)
+    assert captured.out == "" and asked, captured.err
+    assert int(asked[1]) > 16 * 61 * 61**4  # more than the complex matrix alone
+    memory_limit(resource.RLIM_INFINITY, 1 << 60)  # a limit the guard cannot hit
+    assert run(["construct", "alltop", "--m", "1000000007", "-o", out]) == 2
+    assert capsys.readouterr().err == ("error: an m^3 = 1000000021000000147000000343 entry "
+                                       "phase table is more than numpy can address\n")
+    assert not Path(out).exists()
 
 
 def test_missing_file_exits_2(capsys):
@@ -581,7 +612,7 @@ for _leaf in GRAMMAR["construct"].values():
 @pytest.fixture(scope="module")
 def contract_paths(tmp_path_factory):
     """The files and output paths the contract draws from: a tiny valid CMX,
-    a truncated one, an empty file, a NaN entry, entries of 1e200, a design
+    a truncated one, an empty file, a NaN entry, entries of 1e200 and of 1e-200, a design
     file and a missing path; an output path, and one in a missing directory."""
     root = tmp_path_factory.mktemp("contract")
     sign = rademacher(7, 5, seed=0)
@@ -591,9 +622,12 @@ def contract_paths(tmp_path_factory):
     (root / "empty.cmx").write_text("")
     (root / "nan.cmx").write_text("#cmx 1\nfield real\nrows 2\ncols 2\nmeta {}\n1 nan\n0 1\n")
     write_cmx(Matrix(1e200 * sign.data), root / "huge.cmx")  # finite, but squares overflow
+    (root / "tiny.cmx").write_text("#cmx 1\nfield real\nrows 2\ncols 3\nmeta {}\n"
+                                   "1e-200 1e-200 0\n0 1e-200 1e-200\n")  # squares underflow
     write_design(matrix_to_design(sign, 1)[0], root / "design.cmx", {})
     files = [str(root / name) for name in ("valid.cmx", "truncated.cmx", "empty.cmx",
-                                           "nan.cmx", "huge.cmx", "design.cmx", "missing.cmx")]
+                                           "nan.cmx", "huge.cmx", "tiny.cmx", "design.cmx",
+                                           "missing.cmx")]
     return files, [str(root / "out.cmx"), str(root / "absent" / "out.cmx")]
 
 

@@ -1,3 +1,7 @@
+import re
+import resource
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -321,3 +325,35 @@ def test_constructor_meta_round_trips_through_cmx(make, tmp_path):
     back = read_cmx(path)
     assert back.meta == mat.meta
     assert np.array_equal(back.data, mat.data)
+
+
+# -- memory guard ------------------------------------------------------------------
+
+BUILDS = {"rademacher": lambda: rademacher(1000, 200, seed=1), "weil": lambda: weil(13, 2),
+          "weil-N": lambda: weil(31, 2, 2000), "alltop": lambda: alltop(31),
+          "devore": lambda: devore(7, 2), "golomb": lambda: golomb_phase(31),
+          "golomb-stacked": lambda: golomb_stacked(13),
+          "composed": lambda: composed(1, 200, p=7)}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_constructors_refuse_beyond_memory_before_allocating(name, memory_limit, monkeypatch):
+    # refused under a finite RLIMIT_AS, and under physical memory when it is unlimited,
+    # before numpy is touched; the estimate covers the tracemalloc peak of the build
+    estimates = set()
+    for rlimit_as, phys, limit in ((0, 1 << 40, 0), (resource.RLIM_INFINITY, 8192, 8192)):
+        memory_limit(rlimit_as, phys)
+        with pytest.raises(InvalidParams, match=f"more than the {limit} bytes this process "
+                                                "may use") as err:
+            BUILDS[name]()
+        estimates.add(int(re.search(r"would hold about (\d+) bytes", str(err.value))[1]))
+    monkeypatch.undo()
+    BUILDS[name]()  # numpy's first-call allocations are not the build's
+    tracemalloc.start()
+    try:
+        mat = BUILDS[name]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (nbytes,) = estimates
+    assert mat.data.nbytes < peak <= nbytes <= 1.5 * peak, (peak, nbytes)

@@ -13,8 +13,7 @@ from ripforge.certify import las_vegas
 from ripforge.constructors import (alltop, composed, devore, golomb_phase, golomb_stacked,
                                    rademacher, weil)
 from ripforge.errors import InvalidParams, ParseError, RipforgeError
-from ripforge.matrix_core import (Matrix, gram_strips, map_gram_strips, matvec, norm, read_cmx,
-                                  write_cmx)
+from ripforge.matrix_core import Matrix, map_gram_strips, matvec, norm, read_cmx, write_cmx
 
 
 def test_norm_examples():
@@ -412,34 +411,37 @@ def test_gram_strips_tile_the_gram(monkeypatch):
         for budget in (shipped, 1000, 1):  # one strip, a few rows each, one row each
             monkeypatch.setattr(matrix_core, "GRAM_STRIP_BYTES", budget)
             height = min(23, max(1, budget // row_bytes))
+            seen = []
             strips, bases = [], []
-            for i, strip in gram_strips(Matrix(arr)):  # each valid until the next
-                strips.append((i, strip.copy()))
-                bases.append(strip.base)
+            for i, vals in map_gram_strips(Matrix(arr), lambda j, g: seen.append(j) or np.abs(g)):
+                strips.append((i, vals.copy()))  # each valid until the next
+                bases.append(vals.base)
+            assert seen == list(range(23))
             assert bases[0] is not None
             assert all(base is bases[0] for base in bases)  # one buffer per call
+            assert bases[0].nbytes <= max(budget, row_bytes)
             assert [i for i, _ in strips] == list(range(0, 23, height))
-            for i, strip in strips:
-                assert strip.shape == (min(height, 23 - i), 23)
-                assert strip.nbytes <= max(budget, row_bytes)
-            gram = np.vstack([strip for _, strip in strips])
-            assert np.abs(gram - arr.conj().T @ arr).max() <= 1e-12
+            for i, vals in strips:
+                assert vals.shape == (min(height, 23 - i), 23)
+            gram = np.vstack([vals for _, vals in strips])
+            assert np.abs(gram - np.abs(arr.conj().T @ arr)).max() <= 1e-12
 
 
 def test_map_gram_strips_maps_each_entry_as_a_whole_strip_would(strip_budget):
     # the rows of a strip, each written over it as float64, give every entry the
-    # bits of the expression on the whole strip
+    # bits of the expression on the whole strip X[:, i:i+h]^H X
     rng = np.random.default_rng(2)
     exprs = [np.abs] + [lambda g, k=k: (g * g.conj()).real ** k for k in (1, 2, 3)]
     for m, n in ((7, 37), (5, 301), (3, 1)):
         real = rng.standard_normal((m, n))
         for arr in (real, real + 1j * rng.standard_normal((m, n))):
+            height = min(n, max(1, matrix_core.GRAM_STRIP_BYTES // (n * arr.itemsize)))
             for func in exprs:
-                got = [(i, vals.copy()) for i, vals in map_gram_strips(arr, func)]
-                want = [(i, func(strip)) for i, strip in gram_strips(arr)]
-                assert [i for i, _ in got] == [i for i, _ in want]
-                for (_, a), (_, b) in zip(got, want):
-                    assert a.dtype == np.float64 and np.array_equal(a, b), (arr.shape, arr.dtype)
+                got = [(i, vals.copy()) for i, vals in map_gram_strips(arr, lambda j, g: func(g))]
+                assert [i for i, _ in got] == list(range(0, n, height))
+                for i, vals in got:
+                    want = func(arr[:, i:i + height].conj().T @ arr)
+                    assert vals.dtype == np.float64 and np.array_equal(vals, want), arr.dtype
 
 
 def test_cmx_missing_file_raises_oserror(tmp_path):
