@@ -27,37 +27,22 @@ error, and equal phases give equal bits.
 
 Before it allocates, each constructor estimates the bytes of the arrays it
 holds at once, per entry as tracemalloc measures its peak, and refuses when
-that exceeds what the process may use (_refuse_beyond_memory).
+that exceeds what the process may use (matrix_core._refuse_beyond_memory).
 """
 
 from __future__ import annotations
-
-import os
-import resource
 
 import numpy as np
 
 from .errors import InvalidParams
 from .golomb import build_ruler
-from .matrix_core import Matrix
+from .matrix_core import Matrix, _refuse_beyond_memory
 from .num_theory import MAX_MODULUS, is_prime
 
 TWO_PI = 2.0 * np.pi
 # Most complex128 entries one numpy array can address; below this a p x N
 # table that does not fit in memory raises MemoryError instead.
 _MAX_ENTRIES = np.iinfo(np.intp).max // 16
-
-
-def _refuse_beyond_memory(nbytes: int) -> None:
-    """InvalidParams, naming the bytes, when nbytes exceeds what this process
-    may use: the RLIMIT_AS soft limit if finite, else the physical memory.
-    This reads limits and sets none."""
-    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
-    if limit == resource.RLIM_INFINITY:
-        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if nbytes > limit:
-        raise InvalidParams(f"the construction would hold about {nbytes} bytes at once, "
-                            f"more than the {limit} bytes this process may use")
 
 
 def rademacher(m: int, n_cols: int, seed: int) -> Matrix:
@@ -238,7 +223,8 @@ def composed(s: int, n_cols: int, p: int) -> Matrix:
     That chain first holds near N = 4.53e6 (p = 2129) at s = 1, where the
     dense 27e6 x N complex matrix would take about 1800 TiB, so p is an input.
     The degree d = ceil(ln(N/p) / ln p) is clamped to >= 1, and the clamp is
-    recorded in meta.
+    recorded in meta.  N above p^p is refused, since no degree d < p gives
+    that many columns.
     """
     if s < 1 or n_cols < 1:
         raise InvalidParams("need s >= 1 and N >= 1")
@@ -248,6 +234,8 @@ def composed(s: int, n_cols: int, p: int) -> Matrix:
         raise InvalidParams(f"p={p} must be a prime >= 3")
     clamped = n_cols <= p  # ln(N/p) <= 0 would give d <= 0
     d = _composed_degree(p, n_cols)
+    if d >= p:  # the degrees d < p give at most p^p columns
+        raise InvalidParams(f"requested N={n_cols} > family size p^p = {p**p} at p={p}")
     m = _golomb_rows(p)
     _refuse_beyond_memory(18 * m * n_cols + 26 * m * p + 34 * p * n_cols)
     left = golomb_phase(p)

@@ -8,20 +8,26 @@ diffable across implementations.
 
 CMX I/O runs in memory bounded apart from the matrix itself, and costs
 about the distinct values of a file: the explicit constructions repeat a
-few roots of unity, chirps and signs.  write_cmx goes out in blocks of rows
-and formats each bit pattern that a memo kept across blocks lacks.
-read_cmx streams the file once, counting lines and entries and parsing
-each line through a cache of the tokens already seen; it never holds the
-whole text.  The memo and the cache hold at most CMX_CACHE_ENTRIES entries
-each, and both step aside on mostly distinct values, such as Gaussian draws.
+few roots of unity, chirps and signs.  write_cmx goes out in blocks of rows.
+It looks each block's bit patterns up in a memo of sorted keys kept across
+blocks, formats only the misses, and joins the block from tokens that carry
+their separator; a mostly distinct block is formatted whole by one "%.17g"
+row format.  read_cmx streams the file once, counting lines and entries.
+It splits runs of lines on spaces and looks each entry up whole, a re:im
+pair as one token, in a cache of the entries already seen; it never holds
+the whole text.  The memo and the cache hold at most CMX_CACHE_ENTRIES
+entries each, and both step aside on mostly distinct values, such as
+Gaussian draws: the memo per block, the cache for good.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import resource
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from functools import partial
+from itertools import chain, filterfalse, islice, repeat
 
 import numpy as np
 
@@ -66,6 +72,19 @@ class Matrix:
     @property
     def field_name(self) -> str:
         return "complex" if np.iscomplexobj(self.data) else "real"
+
+
+def _refuse_beyond_memory(nbytes: int, what: str = "the construction") -> None:
+    """InvalidParams, naming the bytes, when nbytes, the most that what would
+    hold at once, exceeds what this process may use: the RLIMIT_AS soft
+    limit if finite, else the physical memory.  This reads limits and sets
+    none."""
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit == resource.RLIM_INFINITY:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > limit:
+        raise InvalidParams(f"{what} would hold about {nbytes} bytes at once, "
+                            f"more than the {limit} bytes this process may use")
 
 
 def as_array(A) -> np.ndarray:
@@ -136,20 +155,19 @@ def write_cmx(A: Matrix, path) -> None:
 
     Rows go out in blocks of about CMX_BLOCK_PARTS float64 parts, a real
     and an imaginary part counting separately.  Every entry reads exactly
-    as format(x, ".17g") of each part would give it, but each bit pattern
-    is formatted only when a memo kept across the blocks lacks it; see
-    _block_text for how the memo stays within CMX_CACHE_ENTRIES.
+    as format(x, ".17g") of each part would give it: a block of mostly
+    repeated values is joined from the tokens of a _TokenMemo kept across
+    the blocks, and any other block is formatted whole by one "%.17g" row
+    format, which calls the same float-to-text routine.
     """
     arr = A.data
     complex_field = np.iscomplexobj(arr)
     parts = arr.view(np.float64)  # complex rows read re, im, re, im, ...
     width = parts.shape[1]
-    seps = np.full(width, " ", dtype=object)  # the text after each part of a row
-    if complex_field:
-        seps[0::2] = ":"
+    seps = [":", " "] * (width // 2) if complex_field else [" "] * width  # after each part
     seps[-1] = "\n"
     height = max(1, CMX_BLOCK_PARTS // width)
-    memo = {}
+    memo = _TokenMemo(seps)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{CMX_MAGIC}\n")
         fh.write(f"field {'complex' if complex_field else 'real'}\n")
@@ -157,40 +175,56 @@ def write_cmx(A: Matrix, path) -> None:
         fh.write(f"cols {arr.shape[1]}\n")
         fh.write("meta " + json.dumps(A.meta, sort_keys=True, separators=(",", ":")) + "\n")
         for i in range(0, parts.shape[0], height):
-            fh.write(_block_text(parts[i:i + height], seps, memo))
+            fh.write(memo.text(parts[i:i + height]))
 
 
-def _formatted(bits: np.ndarray) -> list[str]:
-    return [format(x, ".17g") for x in bits.view(np.float64).tolist()]
+class _TokenMemo:
+    """The CMX tokens of the float64 bit patterns written so far, kept across
+    the blocks of one write_cmx call.
 
-
-def _block_text(block: np.ndarray, seps: np.ndarray, memo: dict) -> str:
-    """The CMX text of a block of rows of float64 parts, with one join over
-    the tokens and seps, the text after each part of a row.
-
-    Tokens are keyed by bit pattern, so -0.0 stays apart from 0.0.  memo
-    maps the bit patterns of earlier blocks to their tokens; the block's new
-    patterns are added, after a clear when they would take it past
-    CMX_CACHE_ENTRIES.  A block that is more than half distinct values, or
-    has more than the memo holds, is formatted whole and leaves it as it is.
+    keys holds at most CMX_CACHE_ENTRIES patterns in ascending order, and
+    tokens[k, j] is the token of keys[k] followed by the j-th of the row's
+    separators, so a block is joined from one string per part.  Patterns are
+    bits, so -0.0 stays apart from 0.0.
     """
-    bits, index = np.unique(block.view(np.uint64), return_inverse=True)
-    if 2 * len(bits) > block.size or len(bits) > CMX_CACHE_ENTRIES:
-        tokens = _formatted(bits)
-    else:
-        keys = bits.tolist()
-        new = [k for k in keys if k not in memo]
-        if len(memo) + len(new) > CMX_CACHE_ENTRIES:
-            memo.clear()
-            new = keys
-        memo.update(zip(new, _formatted(np.array(new, dtype=np.uint64))))
-        tokens = list(map(memo.__getitem__, keys))
-    tokens = np.array(tokens, dtype=object)
-    text = np.empty((block.shape[0], 2 * block.shape[1]), dtype=object)
-    text[:, 0::2] = tokens[index.reshape(block.shape)]
-    del bits, index, tokens  # before the list and the string, which are larger
-    text[:, 1::2] = seps
-    return "".join(text.ravel().tolist())
+
+    def __init__(self, seps: list[str]):
+        """seps: the text after each part of a row."""
+        self.row_format = "".join("%.17g" + sep for sep in seps)
+        kinds = {sep: j for j, sep in enumerate(dict.fromkeys(seps))}
+        self.suffixes = np.array(list(kinds), dtype=object)
+        self.suffix_of = np.array([kinds[sep] for sep in seps])  # each column's separator
+        self.keys = np.empty(0, dtype=np.uint64)
+        self.tokens = np.empty((0, len(kinds)), dtype=object)
+
+    def text(self, block: np.ndarray) -> str:
+        """The CMX text of a block of rows of float64 parts.
+
+        The block's distinct patterns are looked up in keys, and only the
+        misses are formatted.  They are added after a clear, which keeps the
+        block's own patterns, when they would take the memo past
+        CMX_CACHE_ENTRIES.  A block that is more than half distinct values,
+        or has more than the memo holds, is formatted whole by the row format
+        and leaves the memo as it is.
+        """
+        bits, index = np.unique(block.view(np.uint64), return_inverse=True)
+        if 2 * len(bits) > block.size or len(bits) > CMX_CACHE_ENTRIES:
+            return (self.row_format * block.shape[0]) % tuple(block.ravel().tolist())
+        at = np.searchsorted(self.keys, bits)
+        hit = np.zeros(len(bits), dtype=bool)
+        if len(self.keys):
+            hit = self.keys[np.minimum(at, len(self.keys) - 1)] == bits
+        if not hit.all():
+            if len(self.keys) + len(bits) - np.count_nonzero(hit) > CMX_CACHE_ENTRIES:
+                self.keys, self.tokens = self.keys[at[hit]], self.tokens[at[hit]]
+            misses = bits[~hit]
+            formatted = map(format, misses.view(np.float64).tolist(), repeat(".17g"))
+            new = np.add.outer(np.array(list(formatted), dtype=object), self.suffixes)
+            where = np.searchsorted(self.keys, misses)
+            self.keys = np.insert(self.keys, where, misses)
+            self.tokens = np.insert(self.tokens, where, new, axis=0)
+            at = np.searchsorted(self.keys, bits)
+        return "".join(self.tokens[at[index.reshape(block.shape)], self.suffix_of].ravel().tolist())
 
 
 def _logical_lines(fh):
@@ -233,45 +267,98 @@ def _parse_header(lines) -> tuple[bool, int, int, dict]:
     return field_name == "complex", rows, cols, meta
 
 
-class _FloatCache(dict):
-    """float(token) of each token looked up, parsed on its first lookup.
+class _TokenCache(dict):
+    """The value of each data token looked up, parsed on its first miss: a
+    float for a real file, a complex for each re:im entry of a complex one.
 
-    parse() maps a line's tokens through the cache, and __missing__ parses
-    and adds each miss.  Before a line that might take the cache past
-    CMX_CACHE_ENTRIES, it is cleared; but if more than half the tokens
-    looked up since the last clear were misses (each distinct miss adds one
-    entry), it gives up, and every later line goes through plain float.  A
-    line with more tokens than the cache holds does too.
+    Before lines that might take it past CMX_CACHE_ENTRIES, it is cleared;
+    but if more than half the tokens looked up since the last clear were
+    misses (each distinct miss adds one entry), it gives up, and every later
+    line goes the plain way, _line_parts.  A line with more tokens than the
+    cache holds does too.
     """
 
-    def __init__(self):
+    def __init__(self, complex_field: bool = False):
         super().__init__()
+        self.convert = _complex_entries if complex_field else partial(map, float)
         self.seen = 0           # tokens looked up since the last clear
         self.given_up = False
 
-    def __missing__(self, token):
-        value = self[token] = float(token)
-        return value
-
-    def parse(self, tokens: list[str]) -> list[float]:
-        if not self.given_up and len(self) + len(tokens) > CMX_CACHE_ENTRIES:
+    def parse(self, lines: list[str], n: int) -> list | None:
+        """The values of the n single-space separated tokens of lines, each
+        looked up whole; None when the lines go the plain way, or a token
+        does not parse.  Misses are parsed together, and when they are most
+        of the tokens, all the tokens are."""
+        if not self.given_up and len(self) + n > CMX_CACHE_ENTRIES:
             self.given_up = 2 * len(self) > self.seen
             self.clear()
             self.seen = 0
-        if self.given_up or len(tokens) > CMX_CACHE_ENTRIES:
-            return list(map(float, tokens))
-        self.seen += len(tokens)
+        if self.given_up or n > CMX_CACHE_ENTRIES:
+            return None
+        self.seen += n
+        tokens = " ".join(lines).split(" ")
+        try:
+            return list(map(self.__getitem__, tokens))
+        except KeyError:
+            misses = list(filterfalse(self.__contains__, tokens))
+        try:
+            if 2 * len(misses) > n:
+                values = list(self.convert(tokens))
+                self.update(zip(tokens, values))
+                return values
+            self.update(zip(misses, self.convert(misses)))
+        except ValueError:
+            return None
         return list(map(self.__getitem__, tokens))
+
+
+def _complex_entries(tokens: list[str]):
+    """complex(float(re), float(im)) of each re:im token; ValueError unless
+    every token has exactly one ':'."""
+    values = iter(_line_parts(" ".join(tokens), b": " * (len(tokens) - 1) + b":"))
+    return map(complex, values, values)
+
+
+def _line_parts(line: str, pairs: bytes | None) -> list[float]:
+    """The float parts of a data line of single-space separated entries, each
+    parsed with plain float.  A complex line, whose separators must read
+    pairs (': : ... :'), gives re and im apart; a real one has pairs None.
+    The ValueError of a bad line names its first fault."""
+    if pairs is not None:
+        # in UTF-8 the bytes ' ' and ':' only ever encode those characters
+        if line.encode().translate(None, _NOT_SEPARATOR) != pairs:
+            raise ValueError("complex entries must be re:im pairs separated by single spaces")
+        line = line.replace(":", " ")
+    elif ":" in line:
+        raise ValueError("complex entry in a real matrix")
+    return list(map(float, line.split(" ")))
+
+
+def _parse_lines(lines: list[str], pairs: bytes | None, parts, first: int) -> ParseError | None:
+    """Parse data lines first, first + 1, ... (counting from 0) into their
+    rows of parts, if not None, one by one with _line_parts; the ParseError
+    of the first bad line, if any."""
+    for i, line in enumerate(lines, first):
+        try:
+            values = _line_parts(line, pairs)
+        except ValueError as e:
+            return ParseError(str(e), lineno=6 + i)
+        if parts is not None:
+            parts[i * len(values):(i + 1) * len(values)] = values
+    return None
 
 
 def read_cmx(path) -> Matrix:
     """Parse a CMX v1 file back into a Matrix; inverse of write_cmx.
 
-    One pass counts the data lines and entries and parses each line of cols
-    entries into its row through a _FloatCache.  Errors keep a whole-text
+    One pass counts the data lines and entries, and parses the lines of
+    cols entries into their rows in runs of at most the _TokenCache's free
+    entries: split on spaces and looked up whole in the cache while it
+    pays, else part by part with plain float.  Errors keep a whole-text
     reader's order: not UTF-8, header, line count, first wrong entry count,
-    first bad token.  A valid file spends two bytes or more on each entry,
-    so rows x cols is allocated only if the file's size holds them.
+    a matrix beyond memory, first bad token.  A valid file spends two bytes
+    or more on each entry, so rows x cols is allocated only if the file's
+    size holds them and the process may hold them (_refuse_beyond_memory).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -283,38 +370,50 @@ def read_cmx(path) -> Matrix:
                     pass
                 raise
             seen = last = 0  # data lines read, and up to the last non-empty one
-            bad = error = pairs = parts = None  # (line, entries) of the first wrong count
+            bad = None  # (line, entries) of the first wrong entry count
+            error = refusal = parts = entries = pairs = None
             if 2 * rows * cols <= os.fstat(fh.fileno()).st_size + 1:
-                parts = np.empty((rows, 2 * cols if complex_field else cols))  # float64 parts
-            cache = _FloatCache()
-            for line in lines:
-                seen += 1
-                if line:
-                    last = seen
-                if line.count(" ") != cols - 1:
-                    bad = bad or (seen, line.count(" ") + 1)
-                elif bad is None and error is None and seen <= rows:
-                    try:
-                        if complex_field:
-                            # in UTF-8 the bytes ' ' and ':' only ever encode those characters
-                            pairs = pairs or b": " * (cols - 1) + b":"  # no longer than a line
-                            if line.encode().translate(None, _NOT_SEPARATOR) != pairs:
-                                raise ValueError("complex entries must be re:im pairs "
-                                                 "separated by single spaces")
-                            line = line.replace(":", " ")
-                        elif ":" in line:
-                            raise ValueError("complex entry in a real matrix")
-                        values = cache.parse(line.split(" "))
-                        if parts is not None:
-                            parts[seen - 1] = values
-                    except ValueError as e:
-                        error = ParseError(str(e), lineno=5 + seen)
+                try:  # the float64 parts, and the finite mask Matrix takes of the entries
+                    _refuse_beyond_memory((16 if complex_field else 8) * rows * cols + rows * cols,
+                                          "the matrix")
+                    parts = np.empty(rows * cols * (2 if complex_field else 1))  # row after row
+                    entries = parts.view(np.complex128) if complex_field else parts
+                except InvalidParams as e:
+                    refusal = e
+            cache = _TokenCache(complex_field)
+            # runs of at most the cache's free entries, and of a sixteenth of the cache
+            # (1024 tokens at the shipped bound), so a run's text and tokens stay in a
+            # core's cache while the steps taken once per run are amortized
+            while run := list(islice(lines, max(1, min(CMX_CACHE_ENTRIES - len(cache),
+                                                        CMX_CACHE_ENTRIES // 16) // cols))):
+                counts = list(map(str.count, run, repeat(" ")))
+                if run[-1]:
+                    last = seen + len(run)
+                elif any(run):
+                    last = next(seen + j for j in range(len(run), 0, -1) if run[j - 1])
+                if bad is None:
+                    good = len(run)
+                    if counts.count(cols - 1) != good:
+                        good = next(j for j, n in enumerate(counts) if n != cols - 1)
+                        bad = (seen + good + 1, counts[good] + 1)
+                    todo = min(good, rows - seen) if error is None and refusal is None else 0
+                    if todo > 0:
+                        values = cache.parse(run[:todo], todo * cols)
+                        if values is not None and parts is not None:
+                            entries[seen * cols:(seen + todo) * cols] = values
+                        elif values is None:
+                            if complex_field:
+                                pairs = pairs or b": " * (cols - 1) + b":"  # no longer than a line
+                            error = _parse_lines(run[:todo], pairs, parts, seen)
+                seen += len(run)
     except UnicodeDecodeError as e:
         raise ParseError(f"not UTF-8 text: {e}") from e
     if last != rows:
         raise ParseError(f"expected {rows} data lines, found {last}", lineno=5 + last)
     if bad is not None and bad[0] <= last:
         raise ParseError(f"expected {cols} entries, found {bad[1]}", lineno=5 + bad[0])
+    if refusal is not None:
+        raise refusal
     if error is not None or parts is None:  # valid entries fit in the size, unless it reads 0
         raise error or ParseError("file size reads too small for the entries (a pipe's reads 0)")
-    return Matrix(parts.view(np.complex128) if complex_field else parts, meta=meta)
+    return Matrix(entries.reshape(rows, cols), meta=meta)

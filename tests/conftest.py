@@ -330,7 +330,8 @@ class _NumpyTripwire:
 def memory_limit(monkeypatch):
     """Put a tripwire in place of ripforge.constructors' numpy and return
     set_limit(rlimit_as, phys_bytes), which fakes the RLIMIT_AS soft limit
-    and the physical memory that the constructors' memory guard reads."""
+    and the physical memory that the memory guard of the constructors and
+    read_cmx reads."""
     monkeypatch.setattr(constructors, "np", _NumpyTripwire())
 
     def set_limit(rlimit_as, phys_bytes=0):

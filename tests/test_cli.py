@@ -185,6 +185,11 @@ def test_each_invalid_input_exits_2_with_its_message(tmp_path, capsys):
          "need at least one column"),
         (["construct", "weil", "--p", "1009", "--d", "6", "--N", str(10**15), "-o", out],
          "a 1009 x 1000000000000000 array is larger than numpy can address"),
+        # refused by the family size p^p, not by a degree the caller never gave
+        (["construct", "composed", "--s", "1", "--N", "5000", "--p", "3", "-o", out],
+         "requested N=5000 > family size p^p = 27 at p=3"),
+        (["construct", "composed", "--s", "1", "--N", "28", "--p", "3", "-o", out],
+         "requested N=28 > family size p^p = 27 at p=3"),
         (["certify", "coherence", path["cols_abc"]],
          "line 4: invalid literal for int() with base 10: 'abc'"),
         (["certify", "coherence", path["cols_0"]], "line 4: rows and cols must be positive"),

@@ -1,5 +1,7 @@
 import os
 import re
+import resource
+import sys
 import tracemalloc
 
 import numpy as np
@@ -238,6 +240,7 @@ def _near_valid_cmx(draw):
 
 _DATA_1x1 = b"#cmx 1\nfield real\nrows 1\ncols 1\nmeta {}\n"
 _DATA_1x2 = b"#cmx 1\nfield real\nrows 1\ncols 2\nmeta {}\n"
+_COMPLEX_1x2 = b"#cmx 1\nfield complex\nrows 1\ncols 2\nmeta {}\n"
 _HUGE_HEADER = b"#cmx 1\nfield complex\nrows 1099511627776\ncols 1099511627776\nmeta {}\n"
 
 
@@ -246,7 +249,12 @@ _HUGE_HEADER = b"#cmx 1\nfield complex\nrows 1099511627776\ncols 1099511627776\n
 @example(_DATA_1x1 + b"1\n\n")                                     # trailing blank line
 @example(_DATA_1x2 + b"1\x0c 2\n")                                 # form feed splits the line
 @example(b"#cmx 1\nfield real\nrows 2\ncols 1\nmeta {}\n1\xe2\x80\xa82\n")  # U+2028 too
-@example(b"#cmx 1\nfield complex\nrows 1\ncols 2\nmeta {}\n1:2:3 4\n")
+@example(_COMPLEX_1x2 + b"1:2:3 4\n")                               # entries looked up whole
+@example(_COMPLEX_1x2 + b":1 2:3\n")
+@example(_COMPLEX_1x2 + b"1: 2:3\n")
+@example(_COMPLEX_1x2 + b"x:1 2\n")                                  # separators beat the token
+@example(_COMPLEX_1x2 + b"-0:-0 0:-0\n")
+@example(_COMPLEX_1x2 + b"1\t:2 3:\t4\n")                            # a tab inside a part
 @example(_DATA_1x2.replace(b"\n", b"\r\n") + b"1 2\r\n")          # CRLF
 @example(_DATA_1x2.replace(b"\n", b"\r") + b"1 2\r")                # lone CR
 @example(_DATA_1x2 + b"-0 5e-324")                                  # no final newline
@@ -288,6 +296,95 @@ def test_read_cmx_allocates_the_matrix_only_when_the_file_size_holds_it(tmp_path
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+def test_read_cmx_names_each_lines_first_fault(tmp_path):
+    # a line the cache cannot parse is parsed again part by part, so its message is the
+    # first fault in that order: the separators, then each part left to right
+    path = tmp_path / "bad.cmx"
+    separators = "complex entries must be re:im pairs separated by single spaces"
+    for line, message in (("x:1 2", separators), ("1:2:3 4", separators),
+                          ("1:2 x:y", "could not convert string to float: 'x'"),
+                          (":1 2:3", "could not convert string to float: ''"),
+                          ("1: 2:3", "could not convert string to float: ''")):
+        for before in (["1:2 3:4"] * 3, [" ".join(f"{k}:{k}" for k in (2 * i, 2 * i + 1))
+                                         for i in range(3)]):  # after hits, after misses
+            path.write_bytes(_COMPLEX_1x2.replace(b"rows 1", b"rows 4")
+                             + "\n".join(before + [line]).encode() + b"\n")
+            with pytest.raises(ParseError, match=re.escape(message)) as err:
+                read_cmx(path)
+            assert err.value.lineno == 9
+    _real_cmx(path, [["1", "2"], ["1", "1:2"]])
+    with pytest.raises(ParseError, match="complex entry in a real matrix") as err:
+        read_cmx(path)
+    assert err.value.lineno == 7
+
+
+def test_read_cmx_refuses_a_matrix_beyond_memory(tmp_path, capsys, memory_limit):
+    # the 16 x 16 complex parts and their finite mask take 17 bytes an entry
+    path, asked = tmp_path / "m.cmx", 17 * 16 * 16
+    header = ["#cmx 1", "field complex", "rows 16", "cols 16", "meta {}"]
+    valid = header + [" ".join(["1:0"] * 16)] * 16
+    message = (f"error: the matrix would hold about {asked} bytes at once, "
+               "more than the {} bytes this process may use\n")
+    for rlimit_as, phys, limit in ((asked - 1, 1 << 40, asked - 1),
+                                   (resource.RLIM_INFINITY, 4096, 4096)):
+        memory_limit(rlimit_as, phys)
+        for lines in (valid, valid[:-1] + ["x:0" + valid[-1][3:]]):  # before the first bad token
+            path.write_text("\n".join(lines) + "\n")
+            assert run(["certify", "coherence", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == message.format(limit)
+        path.write_text("\n".join(valid[:-1] + [valid[-1][4:]]) + "\n")  # after the counts
+        with pytest.raises(ParseError, match="expected 16 entries, found 15"):
+            read_cmx(path)
+    memory_limit(asked)
+    path.write_text("\n".join(valid) + "\n")
+    assert np.array_equal(read_cmx(path).data, np.ones((16, 16)))
+
+
+def test_token_cache_counts_a_complex_entry_once_and_clears_and_gives_up_like_floats(cmx_bounds):
+    cache = matrix_core._TokenCache(complex_field=True)
+    assert cache.parse(["1:2 -0:0", "1:2 3:4"], 4) == [1 + 2j, complex(-0.0, 0.0), 1 + 2j, 3 + 4j]
+    assert sorted(cache) == ["-0:0", "1:2", "3:4"] and cache.seen == 4
+    assert np.signbit(cache["-0:0"].real) and cache.parse(["1:2 3"], 2) is None
+    # each "t:t" entry takes the cache along the same path as the float token "t"
+    bound = matrix_core.CMX_CACHE_ENTRIES
+    rng = np.random.default_rng(8)
+    repeating = [[str(k % (bound + 1))] * 2 for k in range(2 * bound + 20)]
+    distinct = [[format(v, ".17g") for v in rng.standard_normal(2)] for _ in range(2 * bound + 20)]
+    for lines, given_up in ((repeating, False), (distinct, True)):
+        real, entries = matrix_core._TokenCache(), matrix_core._TokenCache(complex_field=True)
+        for line in lines:
+            values = real.parse([" ".join(line)], 2)
+            pairs = entries.parse([" ".join(f"{t}:{t}" for t in line)], 2)
+            assert pairs == (None if values is None else [complex(v, v) for v in values])
+            assert (len(entries), entries.seen, entries.given_up) == (len(real), real.seen,
+                                                                      real.given_up)
+            assert len(entries) <= bound
+        assert entries.given_up == given_up
+
+
+def test_read_cmx_holds_the_parts_the_cache_and_one_run(tmp_path):
+    # peak of a complex read: the parts and their finite mask, at most CMX_CACHE_ENTRIES
+    # cached entries, and one run of lines of at most CMX_CACHE_ENTRIES // 16 tokens
+    rng = np.random.default_rng(3)
+    path = tmp_path / "c.cmx"
+    distinct = rng.standard_normal((1200, 40)) + 1j * rng.standard_normal((1200, 40))
+    for mat in (golomb_phase(23), Matrix(distinct)):  # the cache stays warm / gives up
+        write_cmx(mat, path)
+        longest = max(map(len, path.read_text().split()))
+        token = sys.getsizeof("x" * longest) + sys.getsizeof(1j) + 64  # and its dict slot
+        bound = (17 * mat.data.size + matrix_core.CMX_CACHE_ENTRIES * token
+                 + matrix_core.CMX_CACHE_ENTRIES // 16 * (token + 2 * longest + 16))
+        read_cmx(path)
+        tracemalloc.start()
+        try:
+            read_cmx(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mat.data.nbytes < peak <= bound, (peak, bound)
+
+
 def _writer_cases():
     """The constructor gallery, and matrices built around formatting edge cases."""
     yield from (golomb_phase(5), golomb_phase(23), golomb_stacked(5), weil(5, 2), weil(13, 2),
@@ -305,18 +402,23 @@ def _writer_cases():
     wide = rng.choice(edge, width) + 1j * rng.standard_normal(width)
     yield Matrix(wide[None, :])
     yield Matrix(np.vstack([wide.real, wide.real[::-1]]))
+    # complex and mostly distinct over blocks of many rows: one row format per block
+    rows = 2 * matrix_core.CMX_BLOCK_PARTS // 128 + 3
+    scaled = rng.standard_normal((rows, 128)) * 10.0 ** rng.integers(-300, 300, (rows, 128))
+    scaled.ravel()[::9] = rng.choice(edge, scaled.size // 9 + 1)
+    yield Matrix(scaled[:, 0::2] + 1j * scaled[:, 1::2])
 
 
 def _memo_sizes(monkeypatch) -> list:
     """The (entries, least bit pattern) of write_cmx's memo after each block."""
-    sizes, block_text = [], matrix_core._block_text
+    sizes, text = [], matrix_core._TokenMemo.text
 
-    def spy(block, seps, memo):
-        text = block_text(block, seps, memo)
-        sizes.append((len(memo), min(memo, default=None)))
-        return text
+    def spy(memo, block):
+        out = text(memo, block)
+        sizes.append((len(memo.keys), int(memo.keys[0]) if len(memo.keys) else None))
+        return out
 
-    monkeypatch.setattr(matrix_core, "_block_text", spy)
+    monkeypatch.setattr(matrix_core._TokenMemo, "text", spy)
     return sizes
 
 
@@ -354,23 +456,30 @@ def _real_cmx(path, lines: list[list[str]]) -> None:
     path.write_text("\n".join(header + [" ".join(line) for line in lines]) + "\n")
 
 
-def _cache_after(lines: list[list[str]]) -> tuple[matrix_core._FloatCache, int]:
+def _parse(cache: matrix_core._TokenCache, tokens: list[str]) -> list:
+    """What read_cmx makes of a real line's tokens: their values through the
+    cache, or plain float when the line goes the plain way."""
+    values = cache.parse([" ".join(tokens)], len(tokens))
+    return [float(t) for t in tokens] if values is None else values
+
+
+def _cache_after(lines: list[list[str]]) -> tuple[matrix_core._TokenCache, int]:
     """The cache read_cmx would hold after parsing these lines, and how often
     it was cleared; it never holds more than CMX_CACHE_ENTRIES."""
-    cache, clears = matrix_core._FloatCache(), 0
+    cache, clears = matrix_core._TokenCache(), 0
     for line in lines:
         before = len(cache)
-        assert cache.parse(line) == [float(t) for t in line]
+        assert _parse(cache, line) == [float(t) for t in line]
         clears += len(cache) < before
         assert len(cache) <= matrix_core.CMX_CACHE_ENTRIES
     return cache, clears
 
 
 def test_float_cache_parses_a_line_by_its_share_of_misses():
-    cache = matrix_core._FloatCache()
-    assert cache.parse(["1", "2", "1"]) == [1.0, 2.0, 1.0]  # two misses, then a hit
-    assert cache.parse(["1", "2", "-0"]) == [1.0, 2.0, -0.0]  # one miss: __missing__
-    assert cache.parse(["-0", "2", "1"]) == [-0.0, 2.0, 1.0]  # all hits
+    cache = matrix_core._TokenCache()
+    assert _parse(cache, ["1", "2", "1"]) == [1.0, 2.0, 1.0]  # two misses, then a hit
+    assert _parse(cache, ["1", "2", "-0"]) == [1.0, 2.0, -0.0]  # one miss, parsed alone
+    assert _parse(cache, ["-0", "2", "1"]) == [-0.0, 2.0, 1.0]  # all hits
     assert sorted(cache) == ["-0", "1", "2"] and cache.seen == 9 and not cache.given_up
 
 
