@@ -49,7 +49,7 @@ import numpy as np
 from . import matrix_core
 from .constructors import rademacher
 from .errors import InvalidParams, RoundsExhausted
-from .matrix_core import Matrix, as_array, map_gram_strips
+from .matrix_core import Matrix, as_array, gram_rows
 
 SUBSEED_DERIVATION = "numpy SeedSequence((seed, round)), first uint64 word"
 SAMPLER = 2         # version of _sparse_trials' seed -> sample mapping
@@ -124,26 +124,23 @@ def column_norms(A) -> np.ndarray:
 
 
 def _max_pair(arr: np.ndarray, norms=None) -> tuple[float, tuple[int, int]]:
-    """Largest |<a_j, a_l>| over j != l, divided by |a_j| |a_l| when norms are
-    given, and the first pair in row-major order that attains it (so j < l).
+    """Largest |<a_j, a_l>| over j < l, divided by |a_j| |a_l| when norms are
+    given, and the first pair in row-major order that attains it.
 
-    A running max over map_gram_strips, whose row map takes |G_j|, divides
-    it by norms[j] * norms and sets the diagonal entry to -1, below any
-    valid value; so the scan holds one strip plus one row's temporaries and
-    O(N m).
+    A running first maximum over the rows of gram_rows, each reduced as
+    |G_j[j+1:]| / (norms[j] norms[j+1:]), so the witness has j < l by
+    construction and the scan holds one strip plus one row's temporaries
+    and O(N m).
     """
-    def pair_values(j, row):
-        vals = np.abs(row)
-        if norms is not None:
-            vals /= norms[j] * norms
-        vals[j] = -1.0
-        return vals
-
     best, witness = -1.0, None
-    for i, vals in map_gram_strips(arr, pair_values):
-        r, c = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        if vals[r, c] > best:
-            best, witness = float(vals[r, c]), (i + int(r), int(c))
+    for j, row in gram_rows(arr):
+        if len(row) > 1:
+            vals = np.abs(row[1:])
+            if norms is not None:
+                vals /= norms[j] * norms[j + 1:]
+            c = vals.argmax()
+            if vals[c] > best:
+                best, witness = float(vals[c]), (j, j + 1 + int(c))
     return best, witness
 
 
@@ -346,17 +343,17 @@ def theorem1_bound(kappa: float, delta: float, s: int) -> Theorem1Bound:
 
 
 def _hollow_gram(arr: np.ndarray) -> np.ndarray:
-    """H = A^H A over unit columns with its diagonal set to 0: the Gram entries
-    that _max_pair reduces, divided by the same norms[j] * norms[l], so every
-    |H_jl| is within an ulp of the value coherence maximizes.  exact_ric's
-    subset cap bounds N (182 at s = 3, 71 at s = 4), so H is one product:
-    the Gram strips would hold it whole too.  The rows are divided in place,
-    so nothing else N x N is held beside H."""
+    """H = A^H A over unit columns with its diagonal set to 0.  Each row of
+    gram_rows is divided by the same norms[j] * norms[j+1:] as in _max_pair,
+    so every |H_jl| is within an ulp of the value coherence maximizes, and
+    written over H's upper row, its conjugate over the lower column, so H is
+    Hermitian bit for bit.  exact_ric's subset cap bounds N (182 at s = 3,
+    71 at s = 4), so H is held whole, beside one strip."""
     norms = column_norms(arr)
-    hollow = arr.conj().T @ arr
-    for j, row in enumerate(hollow):
-        row /= norms[j] * norms
-    np.fill_diagonal(hollow, 0.0)
+    hollow = np.zeros((len(norms),) * 2, dtype=np.result_type(arr.dtype, np.float64))
+    for j, row in gram_rows(arr):
+        upper = np.divide(row[1:], norms[j] * norms[j + 1:], out=hollow[j, j + 1:])
+        np.conjugate(upper, out=hollow[j + 1:, j])
     return hollow
 
 
@@ -402,9 +399,9 @@ def exact_ric(A, s: int) -> float:
     At s = 2 the block [[0, g], [conj(g), 0]] has eigenvalues +-|g|, so
     delta_2 = coherence(A), bit for bit, from the same Gram-strip pass and
     without the subset cap RIC_SUBSET_CAP.  At s = 3 each block's norm is the
-    largest root of its characteristic cubic, in closed form.  s >= 4 takes
-    batched eigensolves of the blocks H_S.  delta_1 = 0, since each 1 x 1
-    block of H is 0, and needs no Gram at all.
+    largest root of its characteristic cubic, in closed form.  s >= 4 solves
+    the blocks H_S in batches of GRAM_STRIP_BYTES (8 MiB).  delta_1 = 0,
+    since each 1 x 1 block of H is 0, and needs no Gram at all.
 
     By interlacing and Gershgorin, mu <= delta_s <= (s - 1) mu for s >= 2,
     with mu = coherence(A), up to a relative O(eps).  For exactly orthogonal
@@ -427,13 +424,10 @@ def exact_ric(A, s: int) -> float:
         return _max_triple(hollow)
 
     worst = 0.0
-    subset_iter = itertools.combinations(range(n), s)
-    chunk = max(1, 400_000 // (s * s))
-    while True:
-        block = list(itertools.islice(subset_iter, chunk))
-        if not block:
-            break
-        idx = np.array(block, dtype=np.int64)
+    indices = itertools.chain.from_iterable(itertools.combinations(range(n), s))
+    chunk = max(1, matrix_core.GRAM_STRIP_BYTES // (hollow.itemsize * s * s))
+    while (idx := np.fromiter(itertools.islice(indices, chunk * s), dtype=np.int64)).size:
+        idx = idx.reshape(-1, s)
         eigs = np.linalg.eigvalsh(hollow[idx[:, :, None], idx[:, None, :]])
         worst = max(worst, float(np.abs(eigs).max()))
     return worst

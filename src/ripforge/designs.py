@@ -36,7 +36,7 @@ import numpy as np
 
 from . import matrix_core
 from .errors import InvalidParams, ParseError, RipforgeError
-from .matrix_core import Matrix, as_array, map_gram_strips, read_cmx, write_cmx
+from .matrix_core import Matrix, as_array, gram_rows, read_cmx, write_cmx
 
 UNIT_TOL = 1e-12
 FIELDS = ("real", "complex")
@@ -160,16 +160,16 @@ def design_defect(ps: WeightedPointSet, k: int) -> float:
     """Gram-sum defect sum_{i,j} tau_i tau_j |<x_i,x_j>|^(2k) - delta_{n,2k}.
 
     Nonnegative up to roundoff (Sidelnikov); zero iff the weighted set is
-    a 2k-design.  Summed over map_gram_strips of the N points' Gram with
-    |G|^(2k), so the sum holds one strip plus one row's temporaries and
-    O(N n), never an N x N Gram.
+    a 2k-design.  Row j of gram_rows adds w_j (w_j v_jj + 2 v_j[j+1:] . w[j+1:]),
+    v = |G|^(2k): each pair read once, in one strip and O(N n), never N x N.
     """
     if k < 1:
         raise InvalidParams("need k >= 1")
     w = ps.weights
-    gram_sum = 0.0  # added in strip order; sum() compensates from Python 3.12 on
-    for i, vals in map_gram_strips(ps.points.T, lambda j, g: (g * g.conj()).real ** k):
-        gram_sum += float(w[i:i + len(vals)] @ vals @ w)
+    gram_sum = 0.0  # added in row order; sum() compensates from Python 3.12 on
+    for j, row in gram_rows(ps.points.T):
+        v = (row * row.conj()).real ** k
+        gram_sum += float(w[j] * (w[j] * v[0] + 2.0 * (v[1:] @ w[j + 1:])))
     return gram_sum - delta_closed_form(ps.dim, k, ps.field_name)
 
 

@@ -125,29 +125,26 @@ def matvec(A, x) -> np.ndarray:
     return arr @ x
 
 
-def map_gram_strips(X, func):
-    """Yield (i, V) for the column Gram G = X^H X in consecutive full-width
-    row strips G[i:i+h], each under GRAM_STRIP_BYTES (8 MiB), with
-    V[r] = func(i + r, G[i + r]): func gets each row's column index j and
-    the row, and returns its float64 values, such as np.abs(row).
+def gram_rows(X):
+    """Yield (j, G[j, j:]) for the column Gram G = X^H X: each row from its
+    diagonal on, so every unordered column pair j < l is read once.
 
-    Every strip is computed into one buffer allocated once per call, and
-    func maps it one row at a time into that buffer viewed as float64:
-    float row r lies inside complex row r // 2, which has already been
-    read.  So no N x N Gram is ever held, only one strip plus one row's
-    temporaries.  V lasts until the next strip and may be changed in place.
+    The rows come out of strips X[:, i:i+h]^H X[:, i:] of the upper
+    triangle, h under GRAM_STRIP_BYTES (8 MiB) of full-width rows, each
+    computed into one buffer allocated once per call.  So no N x N Gram is
+    ever held, only one strip; a yielded row lasts until the next strip.
     """
     arr = as_array(X)
     n = arr.shape[1]
     dtype = np.result_type(arr.dtype, np.float64)
     height = min(n, max(1, GRAM_STRIP_BYTES // (n * dtype.itemsize)))
-    buf = np.empty((height, n), dtype=dtype)
+    buf = np.empty(height * n, dtype=dtype)
     for i in range(0, n, height):
-        strip = np.matmul(arr[:, i:i + height].conj().T, arr, out=buf[:n - i])
-        vals = strip.reshape(-1).view(np.float64)[:strip.size].reshape(strip.shape)
-        for j, (row, out) in enumerate(zip(strip, vals), i):
-            out[:] = func(j, row)
-        yield i, vals
+        rows = min(height, n - i)
+        strip = np.matmul(arr[:, i:i + rows].conj().T, arr[:, i:],
+                          out=buf[:rows * (n - i)].reshape(rows, n - i))
+        for r, row in enumerate(strip):
+            yield i + r, row[r:]
 
 
 def write_cmx(A: Matrix, path) -> None:

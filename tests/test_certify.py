@@ -149,6 +149,36 @@ def test_gram_reducer_matches_strip_referee_bit_for_bit(strip_budget, strip_max_
         assert (check.max_sum, check.witness) == (int(round(best)), pair), (m, n, seed)
 
 
+def _complex_draw(seed: int, m: int, n: int) -> np.ndarray:
+    g = np.random.default_rng(seed)
+    return g.standard_normal((m, n)) + 1j * g.standard_normal((m, n))
+
+
+def test_coherence_witness_of_the_seed_3_draw_has_j_below_l():
+    # the two triangles' products of pair (2, 4) differ in the last bit here;
+    # each pair is read once, from its row j < l
+    arr = _complex_draw(3, 21, 5)
+    assert certify._max_pair(arr, certify.column_norms(arr)) == (0.40461871644055514, (2, 4))
+
+
+@pytest.mark.parametrize("m, n", [(22, 9), (21, 5), (14, 11), (36, 118)])
+def test_coherence_witness_has_j_below_l_over_seeds(m, n, strip_max_pair):
+    for seed in range(100):
+        arr = _complex_draw(seed, m, n)
+        norms = certify.column_norms(arr)
+        mu, (j, l) = certify._max_pair(arr, norms)
+        assert j < l, (seed, j, l)
+        assert (mu, (j, l)) == strip_max_pair(arr, norms), seed
+
+
+def test_hollow_gram_is_hermitian_bit_for_bit(strip_budget):
+    for seed in range(20):
+        for m, n in ((21, 5), (14, 11), (5, 40)):
+            hollow = certify._hollow_gram(_complex_draw(seed, m, n))
+            assert np.array_equal(hollow, hollow.conj().T), (seed, m, n)
+            assert not np.diagonal(hollow).any()
+
+
 GRAM_ROWS, GRAM_COLS = 5, 1001  # the Gram spans several strips at either budget
 
 
@@ -374,7 +404,7 @@ def test_exact_ric_at_one_builds_no_gram(monkeypatch):
     def no_gram(*args):
         raise AssertionError("delta_1 needs no Gram")
     monkeypatch.setattr(certify, "_hollow_gram", no_gram)
-    monkeypatch.setattr(certify, "map_gram_strips", no_gram)
+    monkeypatch.setattr(certify, "gram_rows", no_gram)
     assert exact_ric(weil(5, 2), 1) == 0.0
     assert exact_ric(Matrix(np.ones((1, 1_000_001))), 1) == 0.0  # no subset cap
     with pytest.raises(InvalidParams, match="column 1 is identically zero"):
@@ -412,6 +442,28 @@ def test_exact_ric_matches_subset_referee(subset_ric):
             elif mu >= 1e-8:  # below that, mu is roundoff of orthogonal columns
                 assert mu <= delta * (1 + 1e-12), (mat.meta, s)
             assert delta <= (s - 1) * mu * (1 + 1e-12), (mat.meta, s)
+
+
+def test_exact_ric_at_four_keeps_the_bits_of_one_eigensolve_per_subset():
+    # the batch size only groups the blocks; each is solved alone and the
+    # maximum does not depend on the order
+    for mat in _gaussians() + [rademacher(9, 13, 2)]:
+        hollow = certify._hollow_gram(mat.data)
+        want = max(float(np.abs(np.linalg.eigvalsh(hollow[np.ix_(S, S)])).max())
+                   for S in map(list, itertools.combinations(range(mat.cols), 4)))
+        assert exact_ric(mat, 4) == want, mat.meta
+
+
+@pytest.mark.parametrize("budget", [1 << 20, 4 << 20])
+def test_exact_ric_at_four_gathers_its_blocks_under_the_strip_budget(monkeypatch, budget):
+    # a batch gathers one budget of 4 x 4 blocks, and its subset indices and
+    # eigenvalues take a quarter of that each, beside H and one strip
+    arr = np.random.default_rng(5).standard_normal((9, 40))  # C(40,4) = 91 390 subsets
+    want = exact_ric(Matrix(arr), 4)
+    monkeypatch.setattr("ripforge.matrix_core.GRAM_STRIP_BYTES", budget)
+    delta, peak = _traced_peak(lambda: exact_ric(Matrix(arr), 4))
+    assert peak <= 2 * budget + 2 * 40 * 40 * 8, peak
+    assert delta == want
 
 
 def test_exact_ric_hollow_gram_spans_strips(strip_budget, subset_ric):

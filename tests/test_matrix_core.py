@@ -15,7 +15,7 @@ from ripforge.certify import las_vegas
 from ripforge.constructors import (alltop, composed, devore, golomb_phase, golomb_stacked,
                                    rademacher, weil)
 from ripforge.errors import InvalidParams, ParseError, RipforgeError
-from ripforge.matrix_core import Matrix, map_gram_strips, matvec, norm, read_cmx, write_cmx
+from ripforge.matrix_core import Matrix, gram_rows, matvec, norm, read_cmx, write_cmx
 
 
 def test_norm_examples():
@@ -517,40 +517,38 @@ def test_gram_strips_tile_the_gram(monkeypatch):
     shipped = matrix_core.GRAM_STRIP_BYTES
     for arr in (real, real + 1j * rng.standard_normal((5, 23))):
         row_bytes = 23 * arr.itemsize
+        dense = arr.conj().T @ arr
         for budget in (shipped, 1000, 1):  # one strip, a few rows each, one row each
             monkeypatch.setattr(matrix_core, "GRAM_STRIP_BYTES", budget)
             height = min(23, max(1, budget // row_bytes))
-            seen = []
-            strips, bases = [], []
-            for i, vals in map_gram_strips(Matrix(arr), lambda j, g: seen.append(j) or np.abs(g)):
-                strips.append((i, vals.copy()))  # each valid until the next
-                bases.append(vals.base)
-            assert seen == list(range(23))
+            rows, bases = [], []
+            for j, row in gram_rows(Matrix(arr)):
+                rows.append((j, row.copy()))  # each valid until the next strip
+                bases.append(row.base)
+            assert [j for j, _ in rows] == list(range(23))
             assert bases[0] is not None
             assert all(base is bases[0] for base in bases)  # one buffer per call
             assert bases[0].nbytes <= max(budget, row_bytes)
-            assert [i for i, _ in strips] == list(range(0, 23, height))
-            for i, vals in strips:
-                assert vals.shape == (min(height, 23 - i), 23)
-            gram = np.vstack([vals for _, vals in strips])
-            assert np.abs(gram - np.abs(arr.conj().T @ arr)).max() <= 1e-12
+            assert bases[0].size == height * 23  # strips of height full-width rows
+            for j, row in rows:
+                assert row.shape == (23 - j,)
+                assert np.abs(row - dense[j, j:]).max() <= 1e-12
 
 
-def test_map_gram_strips_maps_each_entry_as_a_whole_strip_would(strip_budget):
-    # the rows of a strip, each written over it as float64, give every entry the
-    # bits of the expression on the whole strip X[:, i:i+h]^H X
+def test_gram_rows_give_each_entry_the_bits_of_its_strip_product(strip_budget):
+    # each row of a strip computed into the call's one buffer has the bits of
+    # the same row of the strip's own product X[:, i:i+h]^H X[:, i:]
     rng = np.random.default_rng(2)
-    exprs = [np.abs] + [lambda g, k=k: (g * g.conj()).real ** k for k in (1, 2, 3)]
     for m, n in ((7, 37), (5, 301), (3, 1)):
         real = rng.standard_normal((m, n))
         for arr in (real, real + 1j * rng.standard_normal((m, n))):
             height = min(n, max(1, matrix_core.GRAM_STRIP_BYTES // (n * arr.itemsize)))
-            for func in exprs:
-                got = [(i, vals.copy()) for i, vals in map_gram_strips(arr, lambda j, g: func(g))]
-                assert [i for i, _ in got] == list(range(0, n, height))
-                for i, vals in got:
-                    want = func(arr[:, i:i + height].conj().T @ arr)
-                    assert vals.dtype == np.float64 and np.array_equal(vals, want), arr.dtype
+            got = [(j, row.copy()) for j, row in gram_rows(arr)]
+            assert [j for j, _ in got] == list(range(n))
+            for j, row in got:
+                i = j - j % height
+                want = (arr[:, i:i + height].conj().T @ arr[:, i:])[j - i, j - i:]
+                assert row.dtype == arr.dtype and np.array_equal(row, want), arr.dtype
 
 
 def test_cmx_missing_file_raises_oserror(tmp_path):
